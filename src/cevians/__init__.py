@@ -34,10 +34,12 @@ from .geometry import (
     BarycentricPoint,
     CartesianSimplex,
     CevianConfiguration,
+    MoebiusAreas,
     build_configuration,
     cevian_foot,
     corner_simplex_vertices,
     feet_simplex_vertices,
+    moebius_areas,
     simplex_volume,
     to_barycentric,
     to_cartesian,
@@ -64,13 +66,11 @@ from .optimize import (
 from .ratios import (
     BoundAudit,
     ConstantsRow,
-    MoebiusAreas,
     RatioBreakdown,
     audit_bound,
     cevian_ratio,
     constants_row,
     corner_ratio,
-    moebius_areas,
     moebius_residual,
     ratio_breakdown,
     theorem1_bound,

@@ -1,4 +1,5 @@
-"""Simplex geometry kernel: barycentric coordinates, volumes, cevian feet.
+"""Simplex geometry kernel: barycentric coordinates, volumes, cevian feet,
+and the determinant oracle the suites check the closed forms against.
 
 Conventions used throughout the package:
 
@@ -7,11 +8,16 @@ Conventions used throughout the package:
   weight i and with cevian foot i (the foot on the facet opposite vertex i);
 * all values are float64 and arrays are frozen (read-only) after
   construction, so every object here is safe to share between threads.
+
+The oracle kernels work on a ``CevianBatch`` of B configurations, and the
+scalar API is a batch of one over them.  Nothing here imports ``ratios``:
+the suites compare the two, so they must stay independent.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,8 +33,8 @@ from .errors import (
 # complement 1 - weight.
 EPS_BOUNDARY = 1e-9
 
-# Degeneracy guard, relative to (max edge length)^n so the kernel is
-# scale-free: |det(edge matrix)| must exceed this times the scale factor.
+# Degeneracy guard: |det(edge matrix / max edge length)| must exceed this.
+# Normalizing the edges first makes the guard scale-free.
 DELTA_DEGENERACY = 1e-9
 
 
@@ -38,10 +44,32 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def max_edge_length(vertices: np.ndarray) -> float:
-    """Largest pairwise distance between the given points (rows)."""
-    diff = vertices[:, None, :] - vertices[None, :, :]
-    return float(np.sqrt((diff * diff).sum(axis=-1).max()))
+def _edges(points: np.ndarray) -> np.ndarray:
+    """Edge vectors from the last point to the others; (..., m+1, d) -> (..., m, d)."""
+    return points[..., :-1, :] - points[..., -1:, :]
+
+
+def max_edge_length(points: np.ndarray):
+    """Largest pairwise distance between rows: (m, d) -> float, (B, m, d) -> (B,)."""
+    diff = points[..., :, None, :] - points[..., None, :, :]
+    scale = np.sqrt((diff * diff).sum(-1).max((-2, -1)))
+    return float(scale) if scale.ndim == 0 else scale
+
+
+def is_interior(weights: np.ndarray, floor: float = EPS_BOUNDARY) -> bool:
+    """The weight test: every weight is at least ``floor``."""
+    return bool(weights.min() >= floor)
+
+
+def is_well_conditioned(vertices: np.ndarray, floor: float = DELTA_DEGENERACY) -> bool:
+    """The conditioning test: |det(edge matrix / max edge length)| > floor.
+
+    Scaling first avoids the overflow and underflow of |det| > floor * edge^n.
+    """
+    scale = max_edge_length(vertices)
+    if not 0.0 < scale < math.inf:
+        return False
+    return bool(abs(np.linalg.det(_edges(vertices) / scale)) > floor)
 
 
 @dataclass(frozen=True)
@@ -69,7 +97,7 @@ class BarycentricPoint:
         if total <= 0.0:
             raise NotInteriorError(f"weights must have positive sum, got {total}")
         w = w / total
-        if float(w.min()) < EPS_BOUNDARY:
+        if not is_interior(w):
             raise NotInteriorError(
                 f"weight {w.min():.3e} below the interior margin {EPS_BOUNDARY:.0e}"
             )
@@ -97,13 +125,9 @@ class CartesianSimplex:
             raise UnsupportedDimensionError("need dimension n >= 2")
         if not np.all(np.isfinite(v)):
             raise DegenerateSimplexError("vertices must be finite")
-        n = v.shape[1]
-        det = float(np.linalg.det(v[:-1] - v[-1]))
-        scale = max_edge_length(v)
-        if not abs(det) > DELTA_DEGENERACY * scale**n:
+        if not is_well_conditioned(v):
             raise DegenerateSimplexError(
-                f"|det| = {abs(det):.3e} under the guard "
-                f"{DELTA_DEGENERACY:.0e} * (max edge)^{n}"
+                f"|det(edges / max edge)| under the guard {DELTA_DEGENERACY:.0e}"
             )
         object.__setattr__(self, "vertices", _frozen(v))
 
@@ -131,6 +155,144 @@ class CevianConfiguration:
     feet_cart: np.ndarray
     dist_to_vertices: np.ndarray
     dist_to_feet: np.ndarray
+
+
+@dataclass(frozen=True)
+class MoebiusAreas:
+    """The four areas cut from a triangle by three concurrent cevians.
+
+    p, q, r are the corner triangles (vertex i together with the two feet
+    on its adjacent sides), x the inner cevian triangle, S the base
+    triangle.  Valid records satisfy p + q + r + x = S; Moebius' theorem
+    additionally gives 4pqr = x^2 (p+q+r+x) when the four areas come from
+    an actual cevian configuration.  The fields are floats, or arrays of
+    one shape for a batch of triangles.
+    """
+
+    p: float
+    q: float
+    r: float
+    x: float
+    S: float
+
+    def __post_init__(self) -> None:
+        for name in ("p", "q", "r", "x", "S"):
+            if not np.all(getattr(self, name) > 0.0):
+                raise ValueError(f"area {name} must be positive")
+        if np.any(abs(self.p + self.q + self.r + self.x - self.S) > 1e-9 * self.S):
+            raise ValueError("areas must satisfy p + q + r + x = S")
+
+
+def _det_ld(mats: np.ndarray) -> np.ndarray:
+    """Batched determinants in extended precision via pivoted LU.
+
+    mats: (B, m, m) in any float dtype; returns (B,) longdouble.  Row
+    operations are per-matrix, so results do not depend on the batch split.
+    """
+    a = mats.astype(np.longdouble)
+    b, m, _ = a.shape
+    det = np.ones(b, dtype=np.longdouble)
+    rows = np.arange(b)
+    for col in range(m):
+        piv = np.abs(a[:, col:, col]).argmax(axis=1) + col
+        swapped = piv != col
+        pivot_rows = a[rows, piv].copy()
+        a[rows, piv] = a[:, col]
+        a[:, col] = pivot_rows
+        det = np.where(swapped, -det, det)
+        pivots = a[:, col, col]
+        det = det * pivots
+        safe = np.where(pivots == 0.0, 1.0, pivots)
+        factors = a[:, col + 1 :, col] / safe[:, None]
+        a[:, col + 1 :, col:] -= factors[:, :, None] * a[:, col : col + 1, col:]
+    return det
+
+
+def feet_weights(weights: np.ndarray) -> np.ndarray:
+    """Barycentric feet, foot i in row i; (..., k) -> (..., k, k).
+
+    Foot i lies on line (vertex i, M) and on the facet opposite vertex i:
+    weight i zeroed (exactly) and the rest renormalized by 1 - w_i.
+    """
+    x = weights[..., None, :] / (1.0 - weights)[..., :, None]
+    idx = np.arange(weights.shape[-1])
+    x[..., idx, idx] = 0.0
+    return x
+
+
+@dataclass(frozen=True)
+class CevianBatch:
+    """B cevian configurations: (B, n+1, n) vertices and (B, n+1) weights.
+
+    Cartesian feet and point and the base determinant are computed once, on
+    first use, and shared by every kernel that reads them.
+    """
+
+    vertices: np.ndarray
+    weights: np.ndarray
+
+    @cached_property
+    def feet(self) -> np.ndarray:
+        return feet_weights(self.weights) @ self.vertices
+
+    @cached_property
+    def point(self) -> np.ndarray:
+        return np.einsum("bj,bjd->bd", self.weights, self.vertices)
+
+    @cached_property
+    def base_det(self) -> np.ndarray:
+        return _det_ld(_edges(self.vertices))
+
+
+def det_cevian_ratios(batch: CevianBatch) -> np.ndarray:
+    """Volume(N_0 ... N_n) / Volume(base) by determinants; (B,)."""
+    return np.abs(_det_ld(_edges(batch.feet)) / batch.base_det).astype(float)
+
+
+def det_corner_ratios(batch: CevianBatch, corners=None) -> np.ndarray:
+    """Volume(corner c) / Volume(base) by determinants; (B, len(corners)).
+
+    Corner c is spanned by M and every foot but foot c; default: all n+1.
+    """
+    k = batch.weights.shape[1]
+    dets = [
+        _det_ld(batch.feet[:, np.arange(k) != c] - batch.point[:, None, :])
+        for c in (range(k) if corners is None else corners)
+    ]
+    return np.abs(np.stack(dets, axis=1) / batch.base_det[:, None]).astype(float)
+
+
+def det_moebius_areas(batch: CevianBatch) -> MoebiusAreas:
+    """Moebius areas of B triangles, each field (B,) and kept in longdouble
+    so the residual built from them inherits the oracle's accuracy."""
+    feet, verts = batch.feet, batch.vertices
+    p, q, r = (
+        np.abs(_det_ld(feet[:, np.arange(3) != i] - verts[:, i : i + 1])) / 2.0
+        for i in range(3)
+    )
+    return MoebiusAreas(
+        p, q, r, x=np.abs(_det_ld(_edges(feet))) / 2.0, S=np.abs(batch.base_det) / 2.0
+    )
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    return np.sqrt((x**2).sum(-1))
+
+
+def cevian_distances(batch: CevianBatch) -> tuple[np.ndarray, ...]:
+    """Per cevian i: |M - A_i|, |M - N_i|, and the distance of M from the
+    line A_i N_i relative to the max edge length; each (B, n+1)."""
+    to_vertex = batch.vertices - batch.point[:, None, :]
+    to_foot = batch.feet - batch.point[:, None, :]
+    direction = batch.feet - batch.vertices
+    direction = direction / _norms(direction)[:, :, None]
+    along = (-to_vertex * direction).sum(-1)
+    off_line = -to_vertex - along[:, :, None] * direction
+    return (
+        _norms(to_vertex),
+        _norms(to_foot),
+        _norms(off_line) / max_edge_length(batch.vertices)[:, None],
+    )
 
 
 def simplex_volume(vertices: np.ndarray) -> float:
@@ -190,42 +352,37 @@ def to_barycentric(p, s: CartesianSimplex) -> BarycentricPoint:
 
 
 def cevian_foot(i: int, m: BarycentricPoint) -> np.ndarray:
-    """Barycentric coordinates of the cevian foot opposite vertex i.
-
-    The foot is the intersection of line (vertex i, M) with the facet
-    opposite vertex i: zero out weight i and renormalize the rest by
-    1 - w_i.  Entry i of the result is exactly 0.
-    """
+    """Barycentric coordinates of the cevian foot opposite vertex i (row i
+    of :func:`feet_weights`); entry i of the result is exactly 0."""
     if not 0 <= i <= m.n:
         raise IndexError(f"foot index {i} out of range 0..{m.n}")
-    w = np.array(m.weights)
-    wi = w[i]
-    w[i] = 0.0
-    w /= 1.0 - wi
-    return _frozen(w)
+    return _frozen(feet_weights(m.weights)[i])
 
 
 def build_configuration(s: CartesianSimplex, m: BarycentricPoint) -> CevianConfiguration:
     """Assemble the full cevian configuration for simplex s and point m."""
     if m.n != s.dim:
         raise DimensionMismatchError(f"point n={m.n} against simplex n={s.dim}")
-    k = s.dim + 1
-    feet = np.empty((k, k))
-    for i in range(k):
-        feet[i] = cevian_foot(i, m)
-    feet_cart = feet @ s.vertices
-    point_cart = m.weights @ s.vertices
-    dist_to_vertices = np.linalg.norm(s.vertices - point_cart, axis=1)
-    dist_to_feet = np.linalg.norm(feet_cart - point_cart, axis=1)
+    batch = CevianBatch(s.vertices[None], m.weights[None])
+    dist_to_vertices, dist_to_feet, _ = cevian_distances(batch)
     return CevianConfiguration(
         simplex=s,
         point=m,
-        point_cart=_frozen(point_cart),
-        feet=_frozen(feet),
-        feet_cart=_frozen(feet_cart),
-        dist_to_vertices=_frozen(dist_to_vertices),
-        dist_to_feet=_frozen(dist_to_feet),
+        point_cart=_frozen(batch.point[0]),
+        feet=_frozen(feet_weights(m.weights)),
+        feet_cart=_frozen(batch.feet[0]),
+        dist_to_vertices=_frozen(dist_to_vertices[0]),
+        dist_to_feet=_frozen(dist_to_feet[0]),
     )
+
+
+def moebius_areas(config: CevianConfiguration) -> MoebiusAreas:
+    """Measure the four Moebius areas of a triangle cevian configuration."""
+    if config.simplex.dim != 2:
+        raise UnsupportedDimensionError("Moebius areas are defined for n = 2 only")
+    batch = CevianBatch(config.simplex.vertices[None], config.point.weights[None])
+    areas = det_moebius_areas(batch)
+    return MoebiusAreas(**{name: float(a[0]) for name, a in vars(areas).items()})
 
 
 def feet_simplex_vertices(config: CevianConfiguration) -> np.ndarray:

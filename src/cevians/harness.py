@@ -2,14 +2,16 @@
 oracles.
 
 Each suite draws (simplex, interior point) configurations, evaluates a
-closed-form quantity and an independent Cartesian-determinant quantity per
-trial, and records any discrepancy beyond the plan tolerance.  Trials are
-reproducible and schedule-independent: trial t of a run with seed s draws
-every random number from its own counter-based Philox substream keyed by
-(s, t), so reports are byte-identical for any batch size or execution
-order.
+closed-form quantity from ``ratios`` and an independent Cartesian-determinant
+quantity from the batched kernels of ``geometry`` per trial, and records any
+discrepancy beyond the plan tolerance.  Trials are reproducible and
+schedule-independent: trial t of a run with seed s draws every random number
+from its own counter-based Philox substream keyed by (s, t), so reports are
+byte-identical for any batch size or execution order.
 
-Suites and their per-trial checks:
+A suite is one ``Suite`` record in ``SUITE_TABLE`` (default tolerance,
+weight floor, allowed n, bound, affine draws, per-batch check); ``SUITES``
+and ``DEFAULT_TOLERANCES`` derive from it.  The checks:
 
 * ``theorem1``       cevian-simplex / base volume ratio (determinant and
                      closed form) stays at most n^-n, within absolute slack
@@ -29,8 +31,8 @@ Suites and their per-trial checks:
 
 Sampling applies a conditioning filter so the determinant oracle's own
 rounding stays far below the tolerances: every suite requires the base
-simplex determinant to clear COND_DET * (max edge)^n, and the suites that
-compare routes at relative tolerance also require every weight >=
+simplex to pass ``is_well_conditioned`` at COND_DET, and the suites that
+compare routes at relative tolerance raise their weight floor to
 COND_WEIGHT.  Filtered draws are resampled from the same trial substream
 and do not count as trials.  Oracle determinants are evaluated in extended
 precision (80-bit on x86) by a batched pivoted-LU routine, which keeps the
@@ -42,46 +44,26 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .errors import SamplingError, UnsupportedDimensionError
-from .geometry import (
-    EPS_BOUNDARY,
-    DELTA_DEGENERACY,
-    BarycentricPoint,
-    CartesianSimplex,
-    max_edge_length,
+from . import geometry as oracle
+from . import ratios as closed
+from .errors import (
+    DegenerateSimplexError,
+    NotInteriorError,
+    SamplingError,
+    UnsupportedDimensionError,
 )
-from .ratios import theorem1_bound, theorem2_value
+from .geometry import BarycentricPoint, CartesianSimplex, CevianBatch
+from .geometry import _det_ld  # noqa: F401  (the benchmark traces it here)
 
-SUITES = (
-    "theorem1",
-    "theorem2",
-    "eq2",
-    "decomposition",
-    "moebius",
-    "segment_ratio",
-    "affine",
-)
-
-# Default tolerance per suite: absolute slack on the ratio scale for the
-# inequality suites, relative everywhere else (moebius scales by S^3).
-DEFAULT_TOLERANCES = {
-    "theorem1": 1e-12,
-    "theorem2": 1e-12,
-    "eq2": 1e-9,
-    "decomposition": 1e-12,
-    "moebius": 1e-10,
-    "segment_ratio": 1e-9,
-    "affine": 1e-9,
-}
-
-# Conditioning filter: base-simplex determinant floor (relative to edge
-# scale) for all suites, plus a weight floor for the relative-tolerance
-# suites, calibrated so the extended-precision determinant oracle keeps
-# three orders of magnitude of headroom under a 1e-9 relative tolerance.
+# Conditioning filter: base-simplex floor for is_well_conditioned in all
+# suites, plus a weight floor for the relative-tolerance suites, calibrated
+# so the extended-precision determinant oracle keeps three orders of
+# magnitude of headroom under a 1e-9 relative tolerance.
 COND_DET = 1e-3
 COND_WEIGHT = 1e-3
 # Floor for determinant-route equality checks (the oracle itself cannot do
@@ -95,7 +77,99 @@ AFFINE_MIN_DET = 1e-6
 # Retry budget for rejection sampling, per trial and per sampler call.
 MAX_REJECTIONS = 1000
 
-_NEEDS_WEIGHT_FLOOR = {"eq2", "decomposition", "segment_ratio", "affine"}
+
+# Checks: (batch, tol, bound, *affine map and shift) -> per-trial (margin,
+# observed); margin > 0 is a violation, observed the headline quantity.
+
+
+def _theorem1(batch, tol, bound):
+    observed = np.maximum(
+        oracle.det_cevian_ratios(batch), closed.cevian_ratios(batch.weights)
+    )
+    return observed - (bound + tol), observed
+
+
+def _theorem2(batch, tol, bound):
+    last = (batch.weights.shape[1] - 1,)
+    observed = np.maximum(
+        oracle.det_corner_ratios(batch, last)[:, 0],
+        closed.corner_ratios(batch.weights, last)[:, 0],
+    )
+    return observed - (bound + tol), observed
+
+
+def _eq2(batch, tol, bound):
+    corners = closed.corner_ratios(batch.weights)
+    observed = (np.abs(oracle.det_corner_ratios(batch) - corners) / corners).max(1)
+    return observed - tol, observed
+
+
+def _decomposition(batch, tol, bound):
+    cev_closed = closed.cevian_ratios(batch.weights)
+    cev_det = oracle.det_cevian_ratios(batch)
+    corners_closed = closed.corner_ratios(batch.weights).sum(1)
+    closed_rel = np.abs(corners_closed - cev_closed) / cev_closed
+    det_rel = np.abs(oracle.det_corner_ratios(batch).sum(1) - cev_det) / cev_det
+    margins = np.maximum(closed_rel - tol, det_rel - max(tol, DET_ROUTE_TOL))
+    return margins, closed_rel
+
+
+def _moebius(batch, tol, bound):
+    areas = oracle.det_moebius_areas(batch)
+    resid = np.abs(closed.moebius_residual(areas))
+    s3 = areas.S**3
+    return (resid - tol * s3).astype(float), (resid / s3).astype(float)
+
+
+def _segment_ratio(batch, tol, bound):
+    to_vertex, to_foot, off_line = oracle.cevian_distances(batch)
+    expected = closed.segment_ratios(batch.weights)
+    rel = (np.abs(to_foot / to_vertex - expected) / expected).max(1)
+    return np.maximum(rel - tol, off_line.max(1) - COLLINEARITY_TOL), rel
+
+
+def _det_ratios(batch):
+    return np.concatenate(
+        [oracle.det_cevian_ratios(batch)[:, None], oracle.det_corner_ratios(batch)], 1
+    )
+
+
+def _affine(batch, tol, bound, amats, shifts):
+    mapped = np.einsum("bij,bvj->bvi", amats, batch.vertices) + shifts[:, None, :]
+    before = _det_ratios(batch)
+    after = _det_ratios(CevianBatch(mapped, batch.weights))
+    observed = (np.abs(before - after) / np.maximum(before, after)).max(1)
+    return observed - tol, observed
+
+
+@dataclass(frozen=True)
+class Suite:
+    """Everything the harness knows about one suite.  ``tol`` is absolute on
+    the ratio scale for bound suites, else relative; ``max_n`` None: any n."""
+
+    name: str
+    tol: float
+    check: Callable
+    weight_floor: float = oracle.EPS_BOUNDARY
+    max_n: int | None = None
+    bound: Callable[[int], float] | None = None
+    affine: bool = False
+
+
+SUITE_TABLE = {
+    suite.name: suite
+    for suite in (
+        Suite("theorem1", 1e-12, _theorem1, bound=closed.theorem1_bound),
+        Suite("theorem2", 1e-12, _theorem2, bound=closed.theorem2_value),
+        Suite("eq2", 1e-9, _eq2, weight_floor=COND_WEIGHT),
+        Suite("decomposition", 1e-12, _decomposition, weight_floor=COND_WEIGHT),
+        Suite("moebius", 1e-10, _moebius, max_n=2),
+        Suite("segment_ratio", 1e-9, _segment_ratio, weight_floor=COND_WEIGHT),
+        Suite("affine", 1e-9, _affine, weight_floor=COND_WEIGHT, affine=True),
+    )
+}
+SUITES = tuple(SUITE_TABLE)
+DEFAULT_TOLERANCES = {name: suite.tol for name, suite in SUITE_TABLE.items()}
 
 
 @dataclass(frozen=True)
@@ -112,18 +186,19 @@ class TrialPlan:
     tol: float | None = None
 
     def __post_init__(self) -> None:
-        if self.suite not in SUITES:
+        suite = SUITE_TABLE.get(self.suite)
+        if suite is None:
             raise ValueError(f"unknown suite {self.suite!r}; pick one of {SUITES}")
         if self.n < 2:
             raise UnsupportedDimensionError(f"suites require n >= 2, got {self.n}")
-        if self.suite == "moebius" and self.n != 2:
-            raise ValueError("the moebius suite is defined for n = 2 only")
+        if suite.max_n is not None and self.n > suite.max_n:
+            raise ValueError(f"the {suite.name} suite needs n <= {suite.max_n}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
         if self.tol is None:
-            object.__setattr__(self, "tol", DEFAULT_TOLERANCES[self.suite])
+            object.__setattr__(self, "tol", suite.tol)
         if not self.tol > 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
 
@@ -169,14 +244,7 @@ class VerificationReport:
             "worst_margin": self.worst_margin,
             "max_ratio_observed": self.max_ratio_observed,
             "bound": self.bound,
-            "violations": [
-                {
-                    "trial_index": v.trial_index,
-                    "inputs_digest": v.inputs_digest,
-                    "margin": v.margin,
-                }
-                for v in self.violations
-            ],
+            "violations": [asdict(v) for v in self.violations],
         }
 
 
@@ -190,10 +258,10 @@ def sample_interior(n: int, rng: np.random.Generator) -> BarycentricPoint:
     if n < 2:
         raise UnsupportedDimensionError(f"need n >= 2, got {n}")
     for _ in range(MAX_REJECTIONS):
-        e = rng.standard_exponential(n + 1)
-        w = e / e.sum()
-        if w.min() >= EPS_BOUNDARY:
-            return BarycentricPoint(w)
+        try:
+            return BarycentricPoint(rng.standard_exponential(n + 1))
+        except NotInteriorError:
+            continue
     raise SamplingError(f"no interior point in {MAX_REJECTIONS} draws")
 
 
@@ -206,10 +274,10 @@ def random_simplex(n: int, rng: np.random.Generator) -> CartesianSimplex:
     if n < 2:
         raise UnsupportedDimensionError(f"need n >= 2, got {n}")
     for _ in range(MAX_REJECTIONS):
-        v = rng.uniform(-1.0, 1.0, size=(n + 1, n))
-        det = float(np.linalg.det(v[:-1] - v[-1]))
-        if abs(det) > DELTA_DEGENERACY * max_edge_length(v) ** n:
-            return CartesianSimplex(v)
+        try:
+            return CartesianSimplex(rng.uniform(-1.0, 1.0, size=(n + 1, n)))
+        except DegenerateSimplexError:
+            continue
     raise SamplingError(f"no nondegenerate simplex in {MAX_REJECTIONS} draws")
 
 
@@ -235,225 +303,50 @@ class _TrialStream:
         return self.generator
 
 
-def _det_ld(mats: np.ndarray) -> np.ndarray:
-    """Batched determinants in extended precision via pivoted LU.
+def _draw_trial(gen: np.random.Generator, suite: Suite, n: int) -> tuple:
+    """One trial's accepted inputs, drawn with the conditioning filter:
+    (vertices, weights), plus (map, shift) for an affine suite.
 
-    mats: (B, m, m) in any float dtype; returns (B,) longdouble.  Row
-    operations are per-matrix, so results do not depend on the batch split.
-    """
-    a = mats.astype(np.longdouble)
-    b, m, _ = a.shape
-    det = np.ones(b, dtype=np.longdouble)
-    rows = np.arange(b)
-    for col in range(m):
-        piv = np.abs(a[:, col:, col]).argmax(axis=1) + col
-        swapped = piv != col
-        pivot_rows = a[rows, piv].copy()
-        a[rows, piv] = a[:, col]
-        a[:, col] = pivot_rows
-        det = np.where(swapped, -det, det)
-        pivots = a[:, col, col]
-        det = det * pivots
-        safe = np.where(pivots == 0.0, 1.0, pivots)
-        factors = a[:, col + 1 :, col] / safe[:, None]
-        a[:, col + 1 :, col:] -= factors[:, :, None] * a[:, col : col + 1, col:]
-    return det
-
-
-def _pair_scale(points: np.ndarray) -> np.ndarray:
-    """Max pairwise distance per batch row; points: (B, m, d) -> (B,)."""
-    diff = points[:, :, None, :] - points[:, None, :, :]
-    return np.sqrt((diff * diff).sum(-1).max((1, 2)))
-
-
-def _feet_weight_matrix(wts: np.ndarray) -> np.ndarray:
-    """Row i = barycentric coordinates of cevian foot i; (B, k) -> (B, k, k)."""
-    k = wts.shape[1]
-    x = wts[:, None, :] / (1.0 - wts)[:, :, None]
-    idx = np.arange(k)
-    x[:, idx, idx] = 0.0
-    return x
-
-
-def _draw_trial(
-    gen: np.random.Generator, suite: str, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """One trial's accepted inputs, drawn with the conditioning filter.
-
-    The whole candidate (vertices, weights, and for the affine suite the
-    map) is redrawn together until every filter passes, so the accepted
-    draw depends only on the trial substream.
+    The whole candidate is redrawn together until every filter passes, so
+    the accepted draw depends only on the trial substream.
     """
     k = n + 1
-    want_floor = suite in _NEEDS_WEIGHT_FLOOR
-    affine = suite == "affine"
-    wmin = max(COND_WEIGHT, EPS_BOUNDARY) if want_floor else EPS_BOUNDARY
     for _ in range(MAX_REJECTIONS):
         verts = gen.uniform(-1.0, 1.0, size=(k, n))
         raw = gen.standard_exponential(k)
-        amat = gen.uniform(-1.0, 1.0, size=(n, n)) if affine else None
-        shift = gen.uniform(-1.0, 1.0, size=n) if affine else None
-
+        maps = (
+            (gen.uniform(-1.0, 1.0, size=(n, n)), gen.uniform(-1.0, 1.0, size=n))
+            if suite.affine
+            else ()
+        )
         wts = raw / raw.sum()
-        if wts.min() < wmin:
+        if not oracle.is_interior(wts, suite.weight_floor):
             continue
-        edges = verts[:-1] - verts[-1]
-        det = float(np.linalg.det(edges))
-        if not abs(det) > COND_DET * max_edge_length(verts) ** n:
+        if not oracle.is_well_conditioned(verts, COND_DET):
             continue
-        if affine:
-            det_map = float(np.linalg.det(amat))
-            if abs(det_map) < AFFINE_MIN_DET:
-                continue
-            mapped = verts @ amat.T + shift
-            if not abs(det * det_map) > COND_DET * max_edge_length(mapped) ** n:
-                continue
-        return verts, wts, amat, shift
+        if maps and not (
+            abs(np.linalg.det(maps[0])) >= AFFINE_MIN_DET
+            and oracle.is_well_conditioned(verts @ maps[0].T + maps[1], COND_DET)
+        ):
+            continue
+        return (verts, wts, *maps)
     raise SamplingError(f"conditioning filter rejected {MAX_REJECTIONS} draws")
 
 
-def _det_volume_ratios(
-    verts: np.ndarray, wts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Determinant-oracle ratios: (cevian (B,), corners (B, k)) / base volume."""
-    b, k, n = verts.shape
-    det_base = _det_ld(verts[:, :-1, :] - verts[:, -1:, :])
-    feet = _feet_weight_matrix(wts) @ verts
-    m_cart = np.einsum("bj,bjd->bd", wts, verts)
-    cevian = np.abs(_det_ld(feet[:, :-1, :] - feet[:, -1:, :]) / det_base)
-    corners = np.empty((b, k), dtype=np.longdouble)
-    for c in range(k):
-        keep = [j for j in range(k) if j != c]
-        corners[:, c] = np.abs(
-            _det_ld(feet[:, keep, :] - m_cart[:, None, :]) / det_base
-        )
-    return cevian.astype(float), corners.astype(float)
-
-
-def _closed_corner_ratios(wts: np.ndarray) -> np.ndarray:
-    """Closed-form corner ratios w_c * prod_{i != c} w_i/(1-w_i); (B, k)."""
-    b, k = wts.shape
-    g = wts / (1.0 - wts)
-    out = np.empty((b, k))
-    for c in range(k):
-        keep = [j for j in range(k) if j != c]
-        out[:, c] = wts[:, c] * np.prod(g[:, keep], axis=1)
-    return out
-
-
 def _evaluate(
-    suite: str,
-    n: int,
-    tol: float,
-    verts: np.ndarray,
-    wts: np.ndarray,
-    amats: np.ndarray | None,
-    shifts: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, float | None]:
-    """Per-trial (margin, observed) for one batch, plus the suite bound.
-
-    margin > 0 is a violation; observed is the suite's headline quantity.
-    """
-    b, k, _ = verts.shape
-    one_minus = 1.0 - wts
-
-    if suite == "theorem1":
-        bound = theorem1_bound(n)
-        cev_det, _ = _det_volume_ratios(verts, wts)
-        cev_closed = n * np.prod(wts, 1) / np.prod(one_minus, 1)
-        observed = np.maximum(cev_det, cev_closed)
-        return observed - (bound + tol), observed, bound
-
-    if suite == "theorem2":
-        bound = theorem2_value(n)
-        det_base = _det_ld(verts[:, :-1, :] - verts[:, -1:, :])
-        feet = _feet_weight_matrix(wts) @ verts
-        m_cart = np.einsum("bj,bjd->bd", wts, verts)
-        corner_det = np.abs(
-            _det_ld(feet[:, :n, :] - m_cart[:, None, :]) / det_base
-        ).astype(float)
-        g = wts / one_minus
-        corner_closed = wts[:, n] * np.prod(g[:, :n], axis=1)
-        observed = np.maximum(corner_det, corner_closed)
-        return observed - (bound + tol), observed, bound
-
-    if suite == "eq2":
-        _, corners_det = _det_volume_ratios(verts, wts)
-        corners_closed = _closed_corner_ratios(wts)
-        rel = np.abs(corners_det - corners_closed) / corners_closed
-        observed = rel.max(1)
-        return observed - tol, observed, None
-
-    if suite == "decomposition":
-        cev_det, corners_det = _det_volume_ratios(verts, wts)
-        corners_closed = _closed_corner_ratios(wts)
-        cev_closed = n * np.prod(wts, 1) / np.prod(one_minus, 1)
-        closed_rel = np.abs(corners_closed.sum(1) - cev_closed) / cev_closed
-        det_rel = np.abs(corners_det.sum(1) - cev_det) / cev_det
-        margins = np.maximum(
-            closed_rel - tol, det_rel - max(tol, DET_ROUTE_TOL)
-        )
-        return margins, closed_rel, None
-
-    if suite == "moebius":
-        det_base = _det_ld(verts[:, :2, :] - verts[:, 2:, :])
-        feet = _feet_weight_matrix(wts) @ verts
-        s_area = np.abs(det_base) / 2.0
-        x_area = np.abs(_det_ld(feet[:, :2, :] - feet[:, 2:, :])) / 2.0
-        corner = []
-        for i in range(3):
-            jk = [j for j in range(3) if j != i]
-            corner.append(
-                np.abs(_det_ld(feet[:, jk, :] - verts[:, i : i + 1, :])) / 2.0
-            )
-        p, q, r = corner
-        resid = 4.0 * p * q * r - x_area**2 * (p + q + r + x_area)
-        observed = (np.abs(resid) / s_area**3).astype(float)
-        margins = (np.abs(resid) - tol * s_area**3).astype(float)
-        return margins, observed, None
-
-    if suite == "segment_ratio":
-        feet = _feet_weight_matrix(wts) @ verts
-        m_cart = np.einsum("bj,bjd->bd", wts, verts)
-        to_vertex = verts - m_cart[:, None, :]
-        to_foot = feet - m_cart[:, None, :]
-        dist_v = np.sqrt((to_vertex**2).sum(-1))
-        dist_f = np.sqrt((to_foot**2).sum(-1))
-        expected = wts / one_minus
-        rel = np.abs(dist_f / dist_v - expected) / expected
-        # collinearity of A_i, M, N_i: component of (M - A_i) off the cevian
-        # direction, relative to the edge scale
-        cevian_dir = feet - verts
-        cevian_dir = cevian_dir / np.sqrt((cevian_dir**2).sum(-1))[:, :, None]
-        along = (-to_vertex * cevian_dir).sum(-1)
-        perp = -to_vertex - along[:, :, None] * cevian_dir
-        coll = np.sqrt((perp**2).sum(-1)) / _pair_scale(verts)[:, None]
-        margins = np.maximum(
-            rel.max(1) - tol, coll.max(1) - COLLINEARITY_TOL
-        )
-        return margins, rel.max(1), None
-
-    if suite == "affine":
-        mapped = np.einsum("bij,bvj->bvi", amats, verts) + shifts[:, None, :]
-        cev_a, corners_a = _det_volume_ratios(verts, wts)
-        cev_b, corners_b = _det_volume_ratios(mapped, wts)
-        all_a = np.concatenate([cev_a[:, None], corners_a], axis=1)
-        all_b = np.concatenate([cev_b[:, None], corners_b], axis=1)
-        rel = np.abs(all_a - all_b) / np.maximum(all_a, all_b)
-        observed = rel.max(1)
-        return observed - tol, observed, None
-
-    raise ValueError(f"unknown suite {suite!r}")
+    suite: Suite, tol: float, bound: float | None, verts, wts, *maps
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trial (margin, observed) for one batch: the suite's own check."""
+    return suite.check(CevianBatch(verts, wts), tol, bound, *maps)
 
 
-def _digest(suite: str, seed: int, trial: int, *arrays: np.ndarray | None) -> str:
+def _digest(suite: str, seed: int, trial: int, *arrays: np.ndarray) -> str:
     h = hashlib.sha256()
     h.update(suite.encode())
     h.update(seed.to_bytes(8, "little"))
     h.update(trial.to_bytes(8, "little"))
     for a in arrays:
-        if a is not None:
-            h.update(np.ascontiguousarray(a).tobytes())
+        h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()[:16]
 
 
@@ -468,9 +361,8 @@ def run_suite(plan: TrialPlan, batch_size: int = 4096) -> VerificationReport:
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     start = time.perf_counter()
-    n = plan.n
-    k = n + 1
-    affine = plan.suite == "affine"
+    suite = SUITE_TABLE[plan.suite]
+    bound = None if suite.bound is None else suite.bound(plan.n)
     stream = _TrialStream()
 
     violations: list[Violation] = []
@@ -478,75 +370,34 @@ def run_suite(plan: TrialPlan, batch_size: int = 4096) -> VerificationReport:
     observed_max = -math.inf
 
     for chunk_start in range(0, plan.trials, batch_size):
-        chunk = range(chunk_start, min(chunk_start + batch_size, plan.trials))
-        b = len(chunk)
-        verts = np.empty((b, k, n))
-        wts = np.empty((b, k))
-        amats = np.empty((b, n, n)) if affine else None
-        shifts = np.empty((b, n)) if affine else None
-        failed: list[int] = []
-        for row, trial in enumerate(chunk):
+        trials, drawn = [], []
+        for trial in range(chunk_start, min(chunk_start + batch_size, plan.trials)):
             gen = stream.for_trial(plan.seed, trial)
             try:
-                v, w, a, sh = _draw_trial(gen, plan.suite, n)
+                drawn.append(_draw_trial(gen, suite, plan.n))
             except SamplingError:
-                failed.append(row)
-                violations.append(
-                    Violation(trial, "sampling-failure", math.inf)
-                )
+                violations.append(Violation(trial, "sampling-failure", math.inf))
                 worst = math.inf
                 continue
-            verts[row], wts[row] = v, w
-            if affine:
-                amats[row], shifts[row] = a, sh
-
-        failed_set = set(failed)
-        ok_rows = np.array(
-            [r for r in range(b) if r not in failed_set], dtype=int
-        )
-        if ok_rows.size == 0:
+            trials.append(trial)
+        if not trials:
             continue
-        margins, observed, _ = _evaluate(
-            plan.suite,
-            n,
-            plan.tol,
-            verts[ok_rows],
-            wts[ok_rows],
-            amats[ok_rows] if affine else None,
-            shifts[ok_rows] if affine else None,
-        )
+        inputs = [np.stack(parts) for parts in zip(*drawn)]
+        margins, observed = _evaluate(suite, plan.tol, bound, *inputs)
         worst = max(worst, float(margins.max()))
         observed_max = max(observed_max, float(observed.max()))
         for pos in np.flatnonzero(margins > 0.0):
-            row = int(ok_rows[pos])
-            trial = chunk_start + row
-            violations.append(
-                Violation(
-                    trial,
-                    _digest(
-                        plan.suite,
-                        plan.seed,
-                        trial,
-                        verts[row],
-                        wts[row],
-                        amats[row] if affine else None,
-                        shifts[row] if affine else None,
-                    ),
-                    float(margins[pos]),
-                )
-            )
+            trial = trials[pos]
+            digest = _digest(plan.suite, plan.seed, trial, *(a[pos] for a in inputs))
+            violations.append(Violation(trial, digest, float(margins[pos])))
 
     violations.sort(key=lambda v: v.trial_index)
-    bound_value = {
-        "theorem1": theorem1_bound(n),
-        "theorem2": theorem2_value(n),
-    }.get(plan.suite)
     return VerificationReport(
         plan=plan,
         violations=tuple(violations),
         worst_margin=worst,
         max_ratio_observed=observed_max,
-        bound=bound_value,
+        bound=bound,
         passed=not violations,
         elapsed=time.perf_counter() - start,
     )

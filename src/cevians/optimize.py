@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ConvergenceError, OutOfDomainError, UnsupportedDimensionError
 from .geometry import BarycentricPoint
@@ -169,10 +168,9 @@ def _objective_from_free(u: np.ndarray) -> float:
     near theta_n, far inside.
     """
     w = _softmax_weights(u)
-    head = w[:-1]
-    if head.max() >= 1.0 - 1e-12:
+    if w[:-1].max() >= 1.0 - 1e-12:
         return 0.0
-    return float(w[-1] * np.prod(head / (1.0 - head)))
+    return F(w)
 
 
 def _restart_rng(seed: int, restart: int) -> np.random.Generator:
@@ -199,6 +197,9 @@ def maximize_F_simplex(
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
+    # Imported here, not at module level: scipy.optimize is most of the
+    # package's import time, and only this function needs it.
+    from scipy.optimize import minimize
 
     best_u = None
     best_value = -math.inf

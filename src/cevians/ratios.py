@@ -12,6 +12,11 @@ The corner ratios sum to the cevian ratio, mirroring the decomposition of
 the cevian simplex into the n+1 corner sub-simplices around M.  The cevian
 ratio is at most n^-n (equality exactly at the centroid) and every corner
 ratio is at most f(theta_n) with f(x) = (x/(1-x))^n (1-nx).
+
+The kernels take weights of shape (..., n+1); the scalar API is a batch of
+one over them.  Only the record types ``BarycentricPoint`` and
+``MoebiusAreas`` come from ``geometry``, never a volume or determinant: the
+suites check these closed forms against that oracle.
 """
 from __future__ import annotations
 
@@ -29,7 +34,7 @@ from .constants import (
     theta_hyperbolic,
 )
 from .errors import UnsupportedDimensionError
-from .geometry import BarycentricPoint, CevianConfiguration, simplex_volume, volume
+from .geometry import BarycentricPoint, MoebiusAreas
 
 
 def _as_weights(m) -> np.ndarray:
@@ -37,6 +42,32 @@ def _as_weights(m) -> np.ndarray:
     if w.ndim != 1 or w.shape[0] < 3:
         raise UnsupportedDimensionError("need a weight vector of length n+1, n >= 2")
     return w
+
+
+def segment_ratios(w: np.ndarray) -> np.ndarray:
+    """|M - N_i| / |M - A_i| = w_i / (1 - w_i) per cevian; (..., n+1) -> (..., n+1)."""
+    return w / (1.0 - w)
+
+
+def corner_ratios(w: np.ndarray, corners=None) -> np.ndarray:
+    """Closed-form corner ratios w_c * prod_{i != c} w_i / (1 - w_i).
+
+    (..., n+1) -> (..., len(corners)); ``corners`` defaults to all n+1.
+    """
+    g = segment_ratios(w)
+    corners = range(w.shape[-1]) if corners is None else corners
+    out = np.empty(w.shape[:-1] + (len(corners),))
+    for j, c in enumerate(corners):
+        # np.delete and np.prod, minus the call overhead that dominates the
+        # optimizer's one-point calls
+        others = np.concatenate((g[..., :c], g[..., c + 1 :]), -1)
+        out[..., j] = w[..., c] * np.multiply.reduce(others, -1)
+    return out
+
+
+def cevian_ratios(w: np.ndarray) -> np.ndarray:
+    """Closed-form cevian ratio n prod w_i / prod (1 - w_i); (..., n+1) -> (...)."""
+    return (w.shape[-1] - 1) * np.prod(w, -1) / np.prod(1.0 - w, -1)
 
 
 def corner_ratio(m, k: int) -> float:
@@ -49,8 +80,7 @@ def corner_ratio(m, k: int) -> float:
     n = w.shape[0] - 1
     if not 0 <= k <= n:
         raise IndexError(f"corner index {k} out of range 0..{n}")
-    others = np.delete(w, k)
-    return float(w[k] * np.prod(others / (1.0 - others)))
+    return float(corner_ratios(w, (k,))[0])
 
 
 def cevian_ratio(m) -> float:
@@ -60,9 +90,7 @@ def cevian_ratio(m) -> float:
     the feet's barycentric matrix.  Cross-validated against the Cartesian
     determinant oracle by the verification suites rather than assumed.
     """
-    w = _as_weights(m)
-    n = w.shape[0] - 1
-    return float(n * np.prod(w) / np.prod(1.0 - w))
+    return float(cevian_ratios(_as_weights(m)))
 
 
 def theorem1_bound(n: int) -> float:
@@ -134,52 +162,11 @@ def audit_bound(n: int) -> BoundAudit:
     )
 
 
-@dataclass(frozen=True)
-class MoebiusAreas:
-    """The four areas cut from a triangle by three concurrent cevians.
-
-    p, q, r are the corner triangles (vertex i together with the two feet
-    on its adjacent sides), x the inner cevian triangle, S the base
-    triangle.  Valid records satisfy p + q + r + x = S; Moebius' theorem
-    additionally gives 4pqr = x^2 (p+q+r+x) when the four areas come from
-    an actual cevian configuration.
-    """
-
-    p: float
-    q: float
-    r: float
-    x: float
-    S: float
-
-    def __post_init__(self) -> None:
-        for name in ("p", "q", "r", "x", "S"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"area {name} must be positive")
-        if abs(self.p + self.q + self.r + self.x - self.S) > 1e-9 * self.S:
-            raise ValueError("areas must satisfy p + q + r + x = S")
-
-
-def moebius_areas(config: CevianConfiguration) -> MoebiusAreas:
-    """Measure the four Moebius areas of a triangle cevian configuration."""
-    if config.simplex.dim != 2:
-        raise UnsupportedDimensionError("Moebius areas are defined for n = 2 only")
-    v = config.simplex.vertices
-    feet = config.feet_cart
-    corner = []
-    for i in range(3):
-        j, k = [t for t in range(3) if t != i]
-        corner.append(simplex_volume(np.vstack([v[i], feet[j], feet[k]])))
-    return MoebiusAreas(
-        p=corner[0],
-        q=corner[1],
-        r=corner[2],
-        x=simplex_volume(feet),
-        S=volume(config.simplex),
-    )
-
-
 def moebius_residual(areas: MoebiusAreas) -> float:
-    """4pqr - x^2 (p+q+r+x); zero (to rounding) for cevian configurations."""
+    """4pqr - x^2 (p+q+r+x); zero (to rounding) for cevian configurations.
+
+    Elementwise, so a record of batched areas gives one residual per trial.
+    """
     return 4.0 * areas.p * areas.q * areas.r - areas.x**2 * (
         areas.p + areas.q + areas.r + areas.x
     )
@@ -200,12 +187,12 @@ def ratio_breakdown(m) -> RatioBreakdown:
     """Evaluate every corner ratio, the cevian ratio, and both bounds."""
     w = _as_weights(m)
     n = w.shape[0] - 1
-    corners = np.array([corner_ratio(w, k) for k in range(n + 1)])
+    corners = corner_ratios(w)
     corners.flags.writeable = False
     return RatioBreakdown(
         n=n,
         corner_ratios=corners,
-        cevian_ratio=cevian_ratio(w),
+        cevian_ratio=float(cevian_ratios(w)),
         theorem1_bound=theorem1_bound(n),
         theorem2_value=theorem2_value(n),
     )

@@ -74,6 +74,25 @@ class TestCartesianSimplex:
         for factor in (1e-6, 1.0, 1e6):
             CartesianSimplex(base * factor)
 
+    @pytest.mark.parametrize(
+        "n, scale", [(6, 1e-60), (6, 1e60), (2, 1e-150), (2, 1e150)]
+    )
+    @pytest.mark.parametrize("flatness", [1.0, 1e-12])
+    def test_guard_verdict_holds_at_extreme_scales(self, n, scale, flatness):
+        # corner simplex [0; I_n] with its last axis squashed by `flatness`:
+        # well shaped at 1, degenerate at 1e-12, whatever the scale
+        v = np.vstack([np.zeros(n), np.eye(n)])
+        v[:, -1] *= flatness
+
+        def accepted(vertices):
+            try:
+                CartesianSimplex(vertices)
+            except DegenerateSimplexError:
+                return False
+            return True
+
+        assert accepted(scale * v) == accepted(v) == (flatness == 1.0)
+
 
 class TestVolume:
     def test_unit_right_triangle(self):

@@ -19,8 +19,8 @@ from cevians import (
     theta,
     volume,
 )
-from cevians.geometry import DELTA_DEGENERACY, max_edge_length
-from cevians.harness import DEFAULT_TOLERANCES, _det_ld, _TrialStream
+from cevians.geometry import DELTA_DEGENERACY, _det_ld, max_edge_length
+from cevians.harness import DEFAULT_TOLERANCES, _TrialStream
 from cevians.optimize import F
 
 from oracles import cofactor_det
