@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from . import __version__
@@ -73,11 +74,13 @@ def _fmt(value) -> str:
 
 
 def _round15(obj):
-    """Round every float in a JSON-shaped structure to 15 significant digits."""
+    """Round every float in a JSON-shaped structure to 15 significant digits;
+    non-finite floats become the strings "inf", "-inf" and "nan", which
+    strict JSON can carry."""
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, float):
-        return float(f"{obj:.15g}")
+        return float(f"{obj:.15g}") if math.isfinite(obj) else str(obj)
     if isinstance(obj, dict):
         return {key: _round15(val) for key, val in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -86,7 +89,7 @@ def _round15(obj):
 
 
 def _emit_json(payload, out) -> None:
-    json.dump(_round15(payload), out, sort_keys=True, indent=2)
+    json.dump(_round15(payload), out, sort_keys=True, indent=2, allow_nan=False)
     out.write("\n")
 
 

@@ -51,25 +51,35 @@ def _edges(points: np.ndarray) -> np.ndarray:
 
 def max_edge_length(points: np.ndarray):
     """Largest pairwise distance between rows: (m, d) -> float, (B, m, d) -> (B,)."""
-    diff = points[..., :, None, :] - points[..., None, :, :]
-    scale = np.sqrt((diff * diff).sum(-1).max((-2, -1)))
+    squared = [
+        ((points[..., i + 1 :, :] - points[..., i : i + 1, :]) ** 2).sum(-1).max(-1)
+        for i in range(points.shape[-2] - 1)
+    ]
+    scale = np.sqrt(np.max(squared, axis=0))
     return float(scale) if scale.ndim == 0 else scale
 
 
-def is_interior(weights: np.ndarray, floor: float = EPS_BOUNDARY) -> bool:
-    """The weight test: every weight is at least ``floor``."""
-    return bool(weights.min() >= floor)
+def is_interior(weights: np.ndarray, floor: float = EPS_BOUNDARY):
+    """The weight test: every weight is at least ``floor``; (..., k) -> (...)."""
+    return weights.min(-1) >= floor
 
 
-def is_well_conditioned(vertices: np.ndarray, floor: float = DELTA_DEGENERACY) -> bool:
-    """The conditioning test: |det(edge matrix / max edge length)| > floor.
+def is_well_conditioned(vertices: np.ndarray, floor: float = DELTA_DEGENERACY):
+    """The conditioning test: |det(edge matrix / max edge length)| > floor;
+    finite (..., n+1, n) vertices -> (...).
 
-    Scaling first avoids the overflow and underflow of |det| > floor * edge^n.
+    Scaling by the max edge avoids the overflow and underflow of
+    |det| > floor * edge^n.  Rescaling each simplex first by the exact power
+    of two that brings its largest coordinate into [1/2, 1) keeps the
+    squared edge lengths finite and nonzero at any float64 scale, and
+    leaves coordinates in [-1, 1) unchanged.
     """
-    scale = max_edge_length(vertices)
-    if not 0.0 < scale < math.inf:
-        return False
-    return bool(abs(np.linalg.det(_edges(vertices) / scale)) > floor)
+    _, exponent = np.frexp(np.abs(vertices).max((-2, -1)))
+    scaled = np.ldexp(vertices, -exponent[..., None, None])
+    scale = np.asarray(max_edge_length(scaled))
+    nonzero = scale > 0.0
+    edges = _edges(scaled) / np.where(nonzero, scale, 1.0)[..., None, None]
+    return nonzero & (np.abs(np.linalg.det(edges)) > floor)
 
 
 @dataclass(frozen=True)

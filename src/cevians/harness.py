@@ -5,9 +5,15 @@ Each suite draws (simplex, interior point) configurations, evaluates a
 closed-form quantity from ``ratios`` and an independent Cartesian-determinant
 quantity from the batched kernels of ``geometry`` per trial, and records any
 discrepancy beyond the plan tolerance.  Trials are reproducible and
-schedule-independent: trial t of a run with seed s draws every random number
-from its own counter-based Philox substream keyed by (s, t), so reports are
-byte-identical for any batch size or execution order.
+schedule-independent: every random number of trial t in a run with seed s
+comes from the Philox4x32-10 block function (Salmon et al., SC'11) keyed by
+the two 32-bit words of s, at counter (block, attempt, t & 0xffffffff,
+t >> 32).  A block gives two uniforms of 53 bits, ((w0 << 32 | w1) >> 11)
+* 2^-53; vertex coordinates are 2u - 1 and exponentials -log1p(-u).  The
+draws of a trial depend only on (s, t, attempt), so reports are
+byte-identical for any batch size or execution order.  Switching to this
+layout from numpy's per-trial Philox4x64 generator changed every drawn
+input once, so reports made before the switch differ draw for draw.
 
 A suite is one ``Suite`` record in ``SUITE_TABLE`` (default tolerance,
 weight floor, allowed n, bound, affine draws, per-batch check); ``SUITES``
@@ -33,11 +39,12 @@ Sampling applies a conditioning filter so the determinant oracle's own
 rounding stays far below the tolerances: every suite requires the base
 simplex to pass ``is_well_conditioned`` at COND_DET, and the suites that
 compare routes at relative tolerance raise their weight floor to
-COND_WEIGHT.  Filtered draws are resampled from the same trial substream
-and do not count as trials.  Oracle determinants are evaluated in extended
-precision (80-bit on x86) by a batched pivoted-LU routine, which keeps the
-oracle's relative error near 1e-12 even for the very flat cevian simplices
-that near-boundary points produce.
+COND_WEIGHT.  A batch of trials is drawn and filtered as arrays; rejected
+rows are redrawn with the next attempt number, up to MAX_REJECTIONS rounds,
+and redraws do not count as trials.  Oracle determinants are evaluated in
+extended precision (80-bit on x86) by a batched pivoted-LU routine, which
+keeps the oracle's relative error near 1e-12 even for the very flat cevian
+simplices that near-boundary points produce.
 """
 from __future__ import annotations
 
@@ -281,56 +288,119 @@ def random_simplex(n: int, rng: np.random.Generator) -> CartesianSimplex:
     raise SamplingError(f"no nondegenerate simplex in {MAX_REJECTIONS} draws")
 
 
+# Philox4x32-10 (Salmon et al., SC'11): round multipliers and Weyl key bumps.
+_PHILOX_M = (0xD2511F53, 0xCD9E8D57)
+_PHILOX_W = (0x9E3779B9, 0xBB67AE85)
+_MASK32 = 0xFFFFFFFF
+
+
+def _philox4x32(counter: tuple, key: tuple) -> tuple:
+    """The Philox4x32-10 block function on arrays of counters.
+
+    counter: four broadcastable uint64 arrays of 32-bit words; key: two
+    ints below 2**32.  Returns the four output words as uint64 arrays.
+    Words are held in uint64 so each 32x32-bit product is exact.
+    """
+    c0, c1, c2, c3 = counter
+    k0, k1 = key
+    for _ in range(10):
+        p0 = c0 * _PHILOX_M[0]
+        p1 = c2 * _PHILOX_M[1]
+        c0, c1, c2, c3 = (
+            (p1 >> 32) ^ c1 ^ k0,
+            p1 & _MASK32,
+            (p0 >> 32) ^ c3 ^ k1,
+            p0 & _MASK32,
+        )
+        k0 = (k0 + _PHILOX_W[0]) & _MASK32
+        k1 = (k1 + _PHILOX_W[1]) & _MASK32
+    return c0, c1, c2, c3
+
+
+class _RoundDraws:
+    """The draws of one redraw round for a set of trials, one row per trial.
+
+    Each call takes the next counter blocks of every row's substream,
+    starting on a fresh block; a block gives two uniforms of 53 bits.
+    """
+
+    def __init__(self, key: tuple, trials: np.ndarray, attempt: int) -> None:
+        trials = trials.astype(np.uint64)[:, None]
+        self._key = key
+        self._words = (np.uint64(attempt), trials & _MASK32, trials >> 32)
+        self._block = 0
+
+    def _unit(self, size: tuple) -> np.ndarray:
+        rows, count = size[0], math.prod(size[1:])
+        blocks = (count + 1) // 2
+        index = np.arange(self._block, self._block + blocks, dtype=np.uint64)
+        self._block += blocks
+        w0, w1, w2, w3 = _philox4x32((index, *self._words), self._key)
+        bits = np.stack([(w0 << 32 | w1) >> 11, (w2 << 32 | w3) >> 11], axis=-1)
+        return (bits.reshape(rows, 2 * blocks)[:, :count] * 2.0**-53).reshape(size)
+
+    def uniform(self, low: float, high: float, size: tuple) -> np.ndarray:
+        return low + (high - low) * self._unit(size)
+
+    def standard_exponential(self, size: tuple) -> np.ndarray:
+        return -np.log1p(-self._unit(size))
+
+
 class _TrialStream:
-    """One reusable Philox generator, reset per trial to key (seed, trial)."""
+    """Counter-based substreams of one seed: Philox4x32-10 with the seed's
+    two 32-bit words as key and counter (block, attempt, trial low word,
+    trial high word)."""
 
-    def __init__(self) -> None:
-        self._bitgen = np.random.Philox(key=0)
-        self.generator = np.random.Generator(self._bitgen)
+    def __init__(self, seed: int) -> None:
+        self.key = (seed & _MASK32, seed >> 32)
 
-    def for_trial(self, seed: int, trial: int) -> np.random.Generator:
-        self._bitgen.state = {
-            "bit_generator": "Philox",
-            "state": {
-                "counter": np.zeros(4, dtype=np.uint64),
-                "key": np.array([seed, trial], dtype=np.uint64),
-            },
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return self.generator
+    def for_trial(self, trials: np.ndarray, attempt: int) -> _RoundDraws:
+        """The draws of redraw round ``attempt`` for the given trials."""
+        return _RoundDraws(self.key, trials, attempt)
 
 
-def _draw_trial(gen: np.random.Generator, suite: Suite, n: int) -> tuple:
-    """One trial's accepted inputs, drawn with the conditioning filter:
-    (vertices, weights), plus (map, shift) for an affine suite.
+def _draw_trial(stream: _TrialStream, suite: Suite, n: int, trials: np.ndarray):
+    """Accepted inputs of a batch of trials, drawn with the conditioning
+    filter: (accepted mask over ``trials``, [vertices, weights] plus [map,
+    shift] for an affine suite, rows of the accepted trials only).
 
-    The whole candidate is redrawn together until every filter passes, so
-    the accepted draw depends only on the trial substream.
+    A round draws a whole candidate per pending trial (vertices, then the
+    exponentials, then the affine map and shift) and redraws the rejected
+    rows in the next round, so the accepted draw of a trial depends only on
+    its substream.  Trials still rejected after MAX_REJECTIONS rounds are
+    left unaccepted.
     """
     k = n + 1
-    for _ in range(MAX_REJECTIONS):
-        verts = gen.uniform(-1.0, 1.0, size=(k, n))
-        raw = gen.standard_exponential(k)
-        maps = (
-            (gen.uniform(-1.0, 1.0, size=(n, n)), gen.uniform(-1.0, 1.0, size=n))
-            if suite.affine
-            else ()
+    shapes = [(k, n), (k,)] + ([(n, n), (n,)] if suite.affine else [])
+    out = [np.zeros((len(trials), *shape)) for shape in shapes]
+    accepted = np.zeros(len(trials), dtype=bool)
+    pending = np.arange(len(trials))
+    for attempt in range(MAX_REJECTIONS):
+        if not pending.size:
+            break
+        gen = stream.for_trial(trials[pending], attempt)
+        rows = pending.size
+        verts = gen.uniform(-1.0, 1.0, (rows, k, n))
+        raw = gen.standard_exponential((rows, k))
+        wts = raw / raw.sum(1, keepdims=True)
+        ok = oracle.is_interior(wts, suite.weight_floor) & oracle.is_well_conditioned(
+            verts, COND_DET
         )
-        wts = raw / raw.sum()
-        if not oracle.is_interior(wts, suite.weight_floor):
-            continue
-        if not oracle.is_well_conditioned(verts, COND_DET):
-            continue
-        if maps and not (
-            abs(np.linalg.det(maps[0])) >= AFFINE_MIN_DET
-            and oracle.is_well_conditioned(verts @ maps[0].T + maps[1], COND_DET)
-        ):
-            continue
-        return (verts, wts, *maps)
-    raise SamplingError(f"conditioning filter rejected {MAX_REJECTIONS} draws")
+        drawn = [verts, wts]
+        if suite.affine:
+            amats = gen.uniform(-1.0, 1.0, (rows, n, n))
+            shifts = gen.uniform(-1.0, 1.0, (rows, n))
+            mapped = np.einsum("bij,bvj->bvi", amats, verts) + shifts[:, None, :]
+            ok &= (np.abs(np.linalg.det(amats)) >= AFFINE_MIN_DET) & (
+                oracle.is_well_conditioned(mapped, COND_DET)
+            )
+            drawn += [amats, shifts]
+        done = pending[ok]
+        for dest, part in zip(out, drawn):
+            dest[done] = part[ok]
+        accepted[done] = True
+        pending = pending[~ok]
+    return accepted, [a[accepted] for a in out]
 
 
 def _evaluate(
@@ -363,31 +433,26 @@ def run_suite(plan: TrialPlan, batch_size: int = 4096) -> VerificationReport:
     start = time.perf_counter()
     suite = SUITE_TABLE[plan.suite]
     bound = None if suite.bound is None else suite.bound(plan.n)
-    stream = _TrialStream()
+    stream = _TrialStream(plan.seed)
 
     violations: list[Violation] = []
     worst = -math.inf
     observed_max = -math.inf
 
     for chunk_start in range(0, plan.trials, batch_size):
-        trials, drawn = [], []
-        for trial in range(chunk_start, min(chunk_start + batch_size, plan.trials)):
-            gen = stream.for_trial(plan.seed, trial)
-            try:
-                drawn.append(_draw_trial(gen, suite, plan.n))
-            except SamplingError:
-                violations.append(Violation(trial, "sampling-failure", math.inf))
-                worst = math.inf
-                continue
-            trials.append(trial)
-        if not trials:
+        chunk = np.arange(chunk_start, min(chunk_start + batch_size, plan.trials))
+        accepted, inputs = _draw_trial(stream, suite, plan.n, chunk)
+        for trial in chunk[~accepted]:
+            violations.append(Violation(int(trial), "sampling-failure", math.inf))
+            worst = math.inf
+        trials = chunk[accepted]
+        if not trials.size:
             continue
-        inputs = [np.stack(parts) for parts in zip(*drawn)]
         margins, observed = _evaluate(suite, plan.tol, bound, *inputs)
         worst = max(worst, float(margins.max()))
         observed_max = max(observed_max, float(observed.max()))
         for pos in np.flatnonzero(margins > 0.0):
-            trial = trials[pos]
+            trial = int(trials[pos])
             digest = _digest(plan.suite, plan.seed, trial, *(a[pos] for a in inputs))
             violations.append(Violation(trial, digest, float(margins[pos])))
 

@@ -129,6 +129,24 @@ class TestVerify:
             )
         assert exc.value.code == 2
 
+    def test_json_is_strict_with_sampling_failures(self, capsys):
+        # at n=10 the conditioning filter leaves trials unsampled; their
+        # infinite margins must print as strings, not as bare Infinity
+        def no_constants(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        argv = ["verify", "--suite", "theorem1", "--n", "10",
+                "--trials", "40", "--seed", "3"]
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 1
+        payload = json.loads(out, parse_constant=no_constants)
+        assert payload["worst_margin"] == "inf"
+        failures = [v for v in payload["violations"]
+                    if v["inputs_digest"] == "sampling-failure"]
+        assert failures and all(v["margin"] == "inf" for v in failures)
+        _, csv_out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert next(csv.DictReader(io.StringIO(csv_out)))["worst_margin"] == "inf"
+
     def test_violations_exit_1(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -75,9 +75,14 @@ class TestCartesianSimplex:
             CartesianSimplex(base * factor)
 
     @pytest.mark.parametrize(
-        "n, scale", [(6, 1e-60), (6, 1e60), (2, 1e-150), (2, 1e150)]
+        "n, scale",
+        [
+            (6, 1e-60), (6, 1e60), (2, 1e-150), (2, 1e150),
+            (6, 1e-200), (6, 1e200), (2, 1e-300), (2, 1e300),
+        ],
     )
     @pytest.mark.parametrize("flatness", [1.0, 1e-12])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_guard_verdict_holds_at_extreme_scales(self, n, scale, flatness):
         # corner simplex [0; I_n] with its last axis squashed by `flatness`:
         # well shaped at 1, degenerate at 1e-12, whatever the scale

@@ -20,7 +20,13 @@ from cevians import (
     volume,
 )
 from cevians.geometry import DELTA_DEGENERACY, _det_ld, max_edge_length
-from cevians.harness import DEFAULT_TOLERANCES, _TrialStream
+from cevians.harness import (
+    DEFAULT_TOLERANCES,
+    SUITE_TABLE,
+    _draw_trial,
+    _philox4x32,
+    _TrialStream,
+)
 from cevians.optimize import F
 
 from oracles import cofactor_det
@@ -92,25 +98,119 @@ class TestRandomSimplex:
         assert np.all(np.abs(s.vertices) <= 1.0)
 
 
-class TestTrialSubstreams:
-    def test_reset_reproduces_stream(self):
-        stream = _TrialStream()
-        first = stream.for_trial(987, 5).uniform(size=8)
-        stream.for_trial(987, 6).uniform(size=3)
-        again = stream.for_trial(987, 5).uniform(size=8)
-        assert np.array_equal(first, again)
+class _RoundCounter(_TrialStream):
+    """A trial stream that records how many redraw rounds a draw took."""
 
-    def test_matches_fresh_philox(self):
-        stream = _TrialStream()
-        ours = stream.for_trial(123456789, 42).standard_exponential(6)
-        fresh = np.random.Generator(np.random.Philox(key=[123456789, 42]))
-        assert np.array_equal(ours, fresh.standard_exponential(6))
+    def for_trial(self, trials, attempt):
+        self.rounds = attempt + 1
+        return super().for_trial(trials, attempt)
 
-    def test_distinct_trials_differ(self):
-        stream = _TrialStream()
-        a = stream.for_trial(7, 0).uniform(size=4).copy()
-        b = stream.for_trial(7, 1).uniform(size=4)
-        assert not np.array_equal(a, b)
+
+def _draw(suite, n, trials, seed=11, stream=None):
+    stream = _TrialStream(seed) if stream is None else stream
+    return _draw_trial(stream, SUITE_TABLE[suite], n, np.asarray(trials))
+
+
+class TestTrialStream:
+    @pytest.mark.parametrize(
+        "counter, key, want",
+        [
+            ([0] * 4, [0] * 2, "6627e8d5 e169c58d bc57ac4c 9b00dbd8"),
+            ([0xFFFFFFFF] * 4, [0xFFFFFFFF] * 2, "408f276d 41c83b0e a20bc7c6 6d5451fd"),
+            (
+                [0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344],
+                [0xA4093822, 0x299F31D0],
+                "d16cfe09 94fdcceb 5001e420 24126ea1",
+            ),
+        ],
+        ids=["zeros", "ones", "pi"],
+    )
+    def test_philox4x32_10_known_answers(self, counter, key, want):
+        # the Random123 philox4x32_10 known-answer vectors
+        words = _philox4x32(tuple(np.uint64(c) for c in counter), tuple(key))
+        assert " ".join(f"{int(w):08x}" for w in words) == want
+
+    @staticmethod
+    def _uniforms(seed, trial, attempt, size=8):
+        gen = _TrialStream(seed).for_trial(np.array([trial]), attempt)
+        return gen.uniform(-1.0, 1.0, (1, size))[0]
+
+    def test_same_key_and_counter_reproduce(self):
+        assert np.array_equal(self._uniforms(987, 5, 2), self._uniforms(987, 5, 2))
+
+    def test_trials_seeds_and_attempts_differ(self):
+        base = self._uniforms(7, 5, 0)
+        for other in (self._uniforms(7, 6, 0), self._uniforms(8, 5, 0),
+                      self._uniforms(7, 5, 1), self._uniforms(7, 2**32 + 5, 0)):
+            assert not np.array_equal(base, other)
+
+    def test_largest_seed(self):
+        seed = 2**64 - 1
+        u = self._uniforms(seed, 3, 0, size=1000)
+        assert np.all((-1.0 <= u) & (u < 1.0))
+        assert not np.array_equal(u, self._uniforms(seed - 1, 3, 0, size=1000))
+        assert run_suite(TrialPlan(suite="theorem1", n=2, trials=20, seed=seed)).passed
+
+    def test_accepted_row_is_independent_of_the_batch(self):
+        # affine n=3 redraws often, so a batch mixes rows of different rounds
+        rounds = {}
+        for trial in range(60):
+            counter = _RoundCounter(11)
+            _draw("affine", 3, [trial], stream=counter)
+            rounds[trial] = counter.rounds
+        quick = min(rounds, key=rounds.get)
+        slow = max(rounds, key=rounds.get)
+        assert rounds[quick] == 1 and rounds[slow] >= 3
+        ok_all, whole = _draw("affine", 3, range(1000))
+        ok_pair, pair = _draw("affine", 3, [quick, slow])
+        assert ok_all.all() and ok_pair.all()
+        for at, trial in enumerate((quick, slow)):
+            ok_one, alone = _draw("affine", 3, [trial])
+            assert ok_one.all()
+            for a, b, c in zip(alone, whole, pair):
+                assert np.array_equal(a[0], b[trial])
+                assert np.array_equal(a[0], c[at])
+
+
+class TestBatchedSampler:
+    """The distribution of ``_draw_trial`` output (mirrors TestSampleInterior)."""
+
+    @pytest.fixture(scope="class")
+    def triangles(self):
+        ok, (verts, wts) = _draw("theorem1", 2, range(100_000), seed=3)
+        assert ok.all()
+        return verts, wts
+
+    def test_vertices_uniform_in_box(self, triangles):
+        coords = triangles[0].ravel()
+        assert coords.min() >= -1.0 and coords.max() < 1.0
+        count = coords.size
+        assert abs(coords.mean()) <= 3 * math.sqrt(1 / 3 / count)
+        # Var(x^2) = 1/5 - 1/9 for x uniform on [-1, 1)
+        assert abs((coords**2).mean() - 1 / 3) <= 3 * math.sqrt(4 / 45 / count)
+
+    def test_mean_matches_flat_dirichlet(self):
+        n, trials = 3, 40000
+        ok, (_, wts) = _draw("theorem1", n, range(trials), seed=2)
+        assert ok.all()
+        p = 1.0 / (n + 1)
+        se = math.sqrt(p * (1 - p) / (n + 2) / trials)
+        assert np.all(np.abs(wts.mean(0) - p) <= 3 * se)
+
+    def test_first_weight_marginal_is_beta(self, triangles):
+        xs = np.sort(triangles[1][:, 0])
+        cdf = 1.0 - (1.0 - xs) ** 2
+        steps = np.arange(xs.size + 1) / xs.size
+        ks = max(np.abs(cdf - steps[1:]).max(), np.abs(cdf - steps[:-1]).max())
+        assert ks < 0.01
+
+    @pytest.mark.parametrize("suite", ["theorem1", "eq2"])
+    def test_weights_finite_and_above_floor(self, suite):
+        ok, (_, wts) = _draw(suite, 3, range(5000))
+        assert ok.all()
+        assert np.all(np.isfinite(wts))
+        assert wts.min() >= SUITE_TABLE[suite].weight_floor
+        assert np.allclose(wts.sum(1), 1.0, rtol=0, atol=1e-15)
 
 
 class TestExtendedPrecisionDet:
@@ -226,6 +326,14 @@ class TestSuites:
             assert json.dumps(c.to_dict(), sort_keys=True) == json.dumps(
                 a.to_dict(), sort_keys=True
             )
+
+    def test_affine_reproducible_and_batch_invariant(self):
+        # affine redraws often, so batches mix rows of different rounds
+        plan = TrialPlan(suite="affine", n=3, trials=257, seed=77)
+        want = json.dumps(run_suite(plan).to_dict(), sort_keys=True)
+        for batch in (1, 7, 64, 4096, 4096):
+            got = run_suite(plan, batch_size=batch).to_dict()
+            assert json.dumps(got, sort_keys=True) == want
 
     def test_different_seeds_differ(self):
         a = run_suite(TrialPlan(suite="eq2", n=2, trials=50, seed=0))
