@@ -43,8 +43,12 @@ COND_WEIGHT.  A batch of trials is drawn and filtered as arrays; rejected
 rows are redrawn with the next attempt number, up to MAX_REJECTIONS rounds,
 and redraws do not count as trials.  Oracle determinants are evaluated in
 extended precision (80-bit on x86) by a batched pivoted-LU routine, which
-keeps the oracle's relative error near 1e-12 even for the very flat cevian
-simplices that near-boundary points produce.
+keeps the oracle's relative error far below the suite tolerances even for
+the very flat cevian simplices that near-boundary points produce (against
+exact rational determinants: below 1e-15 on the flattest of 400 sampled
+n=6 cevian simplices).  ``geometry._det_ld`` splits a large batch into
+row slices across the process's cores; each determinant is computed
+alone, so reports do not depend on the split.
 """
 from __future__ import annotations
 

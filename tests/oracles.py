@@ -2,12 +2,16 @@
 
 Everything here is deliberately written from first principles, without
 importing the package's own implementations of the quantities being
-checked: determinants by recursive cofactor expansion, the scalar extremum
-by dense grid plus golden-section refinement on a locally defined formula.
+checked: determinants by recursive cofactor expansion or in exact rational
+arithmetic, the scalar extremum by dense grid plus golden-section
+refinement on a locally defined formula.  ``reference_det_ld`` is the
+package's earlier batch-first extended-precision kernel, kept so the
+batch-last one can be checked against it bit for bit.
 """
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -23,6 +27,47 @@ def cofactor_det(a) -> float:
         minor = [row[:col] + row[col + 1 :] for row in a[1:]]
         total += (-1.0) ** col * a[0][col] * cofactor_det(minor)
     return total
+
+
+def exact_det(a) -> Fraction:
+    """Exact determinant of a float matrix by fraction-valued elimination."""
+    rows = [[Fraction(float(x)) for x in row] for row in np.asarray(a)]
+    det = Fraction(1)
+    for col in range(len(rows)):
+        piv = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, len(rows)):
+            factor = rows[r][col] / rows[col][col]
+            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return det
+
+
+def reference_det_ld(mats: np.ndarray) -> np.ndarray:
+    """Batched pivoted-LU determinants in longdouble, batch first: at each
+    column, swap whole rows to the first argmax of |a[:, col:, col]|,
+    multiply the pivot into the determinant and eliminate below it."""
+    a = mats.astype(np.longdouble)
+    b, m, _ = a.shape
+    det = np.ones(b, dtype=np.longdouble)
+    rows = np.arange(b)
+    for col in range(m):
+        piv = np.abs(a[:, col:, col]).argmax(axis=1) + col
+        swapped = piv != col
+        pivot_rows = a[rows, piv].copy()
+        a[rows, piv] = a[:, col]
+        a[:, col] = pivot_rows
+        det = np.where(swapped, -det, det)
+        pivots = a[:, col, col]
+        det = det * pivots
+        safe = np.where(pivots == 0.0, 1.0, pivots)
+        factors = a[:, col + 1 :, col] / safe[:, None]
+        a[:, col + 1 :, col:] -= factors[:, :, None] * a[:, col : col + 1, col:]
+    return det
 
 
 def simplex_volume_cofactor(vertices) -> float:

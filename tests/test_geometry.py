@@ -20,7 +20,7 @@ from cevians import (
     to_cartesian,
     volume,
 )
-from cevians.geometry import EPS_BOUNDARY
+from cevians.geometry import EPS_BOUNDARY, CevianBatch, cevian_distances
 
 from oracles import simplex_volume_cofactor
 
@@ -256,6 +256,24 @@ class TestConfiguration:
                     / (cfg.dist_to_vertices[i] + cfg.dist_to_feet[i]),
                     rel=1e-9,
                 )
+
+    @pytest.mark.parametrize("n", [2, 6])
+    @pytest.mark.parametrize("scale", [1e160, 1e-160, 1e300, 1e-300])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_distances_hold_at_extreme_scales(self, n, scale):
+        # corner simplex [0; I_n] with a jitter, and a generic interior point
+        rng = _rng(40 + n)
+        v = np.vstack([np.zeros(n), np.eye(n)]) + rng.uniform(-0.1, 0.1, (n + 1, n))
+        m = BarycentricPoint(rng.uniform(0.5, 1.5, n + 1))
+        unit = build_configuration(CartesianSimplex(v), m)
+        cfg = build_configuration(CartesianSimplex(scale * v), m)
+        for got, want in [
+            (cfg.dist_to_vertices, unit.dist_to_vertices),
+            (cfg.dist_to_feet, unit.dist_to_feet),
+        ]:
+            assert np.allclose(got / scale, want, rtol=1e-15, atol=0)
+        *_, off_line = cevian_distances(CevianBatch(cfg.simplex.vertices[None], m.weights[None]))
+        assert off_line.max() <= 1e-15
 
     def test_helper_vertex_sets(self):
         s = CartesianSimplex(UNIT_TRIANGLE)

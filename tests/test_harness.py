@@ -1,6 +1,12 @@
 """Samplers, trial substreams, and the verification suites."""
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +25,15 @@ from cevians import (
     theta,
     volume,
 )
-from cevians.geometry import DELTA_DEGENERACY, _det_ld, max_edge_length
+from cevians import geometry
+from cevians.geometry import (
+    DELTA_DEGENERACY,
+    SPLIT_MIN_ROWS,
+    CevianBatch,
+    _det_ld,
+    _edges,
+    max_edge_length,
+)
 from cevians.harness import (
     DEFAULT_TOLERANCES,
     SUITE_TABLE,
@@ -29,7 +43,7 @@ from cevians.harness import (
 )
 from cevians.optimize import F
 
-from oracles import cofactor_det
+from oracles import cofactor_det, exact_det, reference_det_ld
 
 
 def _rng(seed=0):
@@ -225,15 +239,129 @@ class TestExtendedPrecisionDet:
                 assert got[i] == pytest.approx(cofactor_det(mats[i]), rel=1e-10)
 
     def test_batch_split_invariance(self):
-        rng = _rng(8)
-        mats = rng.uniform(-1, 1, size=(30, 4, 4))
+        # large enough to split on two cores or more
+        mats = _rng(8).uniform(-1, 1, size=(2 * SPLIT_MIN_ROWS + 77, 4, 4))
         whole = _det_ld(mats)
-        parts = np.concatenate([_det_ld(mats[:11]), _det_ld(mats[11:])])
-        assert np.array_equal(whole, parts)
+        rows = np.concatenate([_det_ld(mats[i : i + 1]) for i in range(len(mats))])
+        assert np.array_equal(whole, rows)
 
     def test_singular_matrix(self):
         mats = np.zeros((1, 3, 3))
         assert _det_ld(mats)[0] == 0.0
+
+    @pytest.mark.parametrize("m, extra", [(6, 904), (8, 123)])
+    def test_bit_identical_to_reference_on_split_batches(self, m, extra):
+        mats = _rng(9).uniform(-1, 1, size=(2 * SPLIT_MIN_ROWS + extra, m, m))
+        got = _det_ld(mats)
+        assert got.dtype == np.longdouble
+        assert np.array_equal(got, reference_det_ld(mats))
+
+    def test_bit_identical_to_reference_on_edge_cases(self):
+        rng = _rng(10)
+        m = 5
+        zero_first_column = rng.uniform(-1, 1, (6, m, m))
+        zero_first_column[:, :, 0] = 0.0
+        # the largest entry of column c sits in row c + 1, so every column
+        # but the last pivots
+        shift = np.roll(np.eye(m), 1, axis=0)
+        pivoting = 10.0 * shift + rng.uniform(-1, 1, (6, m, m))
+        for mats in [
+            np.zeros((0, m, m)),
+            rng.uniform(-1, 1, (1, m, m)),
+            np.zeros((4, m, m)),
+            zero_first_column,
+            pivoting,
+            np.concatenate([pivoting, np.zeros((2, m, m)), zero_first_column]),
+        ]:
+            got = _det_ld(mats)
+            assert got.shape == (len(mats),) and got.dtype == np.longdouble
+            assert np.array_equal(got, reference_det_ld(mats))
+        assert np.all(_det_ld(zero_first_column) == 0.0)
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        kernel = geometry._lu_det
+
+        def failing_off_caller(mats):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError("worker slice")
+            return kernel(mats)
+
+        monkeypatch.setattr(geometry, "_cores", lambda: 2)
+        monkeypatch.setattr(geometry, "_lu_det", failing_off_caller)
+        with pytest.raises(FloatingPointError, match="worker slice"):
+            _det_ld(np.ones((2 * SPLIT_MIN_ROWS, 3, 3)))
+
+    def test_concurrent_callers(self, monkeypatch):
+        # more callers and slices than cores, a short switch interval and a
+        # pool made under contention: every caller gets its own rows back
+        monkeypatch.setattr(geometry, "_cores", lambda: 4)
+        monkeypatch.setattr(geometry, "_POOL", None)
+        batches = [_rng(20 + i).uniform(-1, 1, (4 * SPLIT_MIN_ROWS, 3, 3)) for i in range(5)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(len(batches)) as callers:
+                futures = [callers.submit(_det_ld, mats) for mats in batches]
+                got = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+            geometry._POOL.shutdown()
+        for mats, dets in zip(batches, got):
+            assert np.array_equal(dets, reference_det_ld(mats))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_recomputes_split_batches(self):
+        # a child forked after the pool ran has none of its threads; it
+        # must split afresh, not wait on the parent's pool forever
+        script = """
+import os, signal
+import numpy as np
+from cevians import geometry
+geometry._cores = lambda: 2
+mats = np.random.default_rng(3).uniform(-1, 1, (2 * geometry.SPLIT_MIN_ROWS, 6, 6))
+want = geometry._det_ld(mats)
+pid = os.fork()
+if pid == 0:
+    signal.alarm(20)
+    os._exit(0 if np.array_equal(geometry._det_ld(mats), want) else 1)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+        path = os.pathsep.join(
+            filter(None, [os.path.dirname(os.path.dirname(geometry.__file__)),
+                          os.environ.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert proc.stdout.strip() == "0"
+
+
+def _relative_errors(mats):
+    errors = []
+    for mat, got in zip(mats, _det_ld(mats)):
+        exact = exact_det(mat)
+        errors.append(float(abs(Fraction(*got.as_integer_ratio()) - exact) / abs(exact)))
+    return np.array(errors)
+
+
+class TestOracleCalibration:
+    """The oracle against exact rational determinants of the same float64
+    matrices.  Where longdouble is plain float64 these bounds fail, which
+    is the point: the suites' tolerances assume the extended format."""
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_random_matrices(self, m):
+        worst = _relative_errors(_rng(50 + m).uniform(-1, 1, size=(25, m, m))).max()
+        assert worst <= 1e-16, (worst, np.finfo(np.longdouble))
+
+    def test_flattest_cevian_simplices(self):
+        ok, (verts, wts) = _draw("theorem1", 6, range(400))
+        assert ok.all()
+        flattest = np.argsort(wts.min(1))[:40]
+        batch = CevianBatch(verts[flattest], wts[flattest])
+        worst = _relative_errors(_edges(batch.feet)).max()
+        assert worst <= 1e-15, (worst, np.finfo(np.longdouble))
 
 
 class TestTrialPlan:

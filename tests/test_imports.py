@@ -1,5 +1,6 @@
 """Module boundaries: the closed forms and the determinant oracle stay
-independent, and the CLI starts without loading scipy.optimize."""
+independent, and the CLI starts without loading scipy.optimize or starting
+a thread."""
 import ast
 import os
 import subprocess
@@ -56,14 +57,27 @@ def test_geometry_never_imports_ratios():
     assert "ratios" not in _reachable("geometry")
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
+def _fresh_cli_import(report: str) -> str:
+    """Output of ``report`` evaluated right after `import cevians.cli` in a
+    new interpreter."""
     path = os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
     )
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, cevians.cli; print('scipy.optimize' in sys.modules)"],
+         f"import sys, threading, cevians.cli; print({report})"],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True, text=True, check=True, timeout=60,
     )
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    assert _fresh_cli_import("'scipy.optimize' in sys.modules") == "False"
+
+
+def test_cli_import_starts_no_thread():
+    # the oracle's thread pool is made on the first batch large enough to
+    # split, never at import
+    report = "'concurrent.futures' in sys.modules, threading.active_count()"
+    assert _fresh_cli_import(report) == "False 1"
