@@ -35,8 +35,8 @@ from .errors import (
 # complement 1 - weight.
 EPS_BOUNDARY = 1e-9
 
-# Degeneracy guard: |det(edge matrix / max edge length)| must exceed this.
-# Normalizing the edges first makes the guard scale-free.
+# Degeneracy guard: the edge matrix's Frobenius condition number must be
+# at most 1 / DELTA_DEGENERACY.
 DELTA_DEGENERACY = 1e-9
 
 # The determinant oracle splits a batch across the cores only when every
@@ -59,13 +59,12 @@ def _edges(points: np.ndarray) -> np.ndarray:
 
 
 def max_edge_length(points: np.ndarray):
-    """Largest pairwise distance between rows: (m, d) -> float, (B, m, d) -> (B,)."""
+    """Largest pairwise distance between rows: (..., m, d) -> (...)."""
     squared = [
         ((points[..., i + 1 :, :] - points[..., i : i + 1, :]) ** 2).sum(-1).max(-1)
         for i in range(points.shape[-2] - 1)
     ]
-    scale = np.sqrt(np.max(squared, axis=0))
-    return float(scale) if scale.ndim == 0 else scale
+    return np.sqrt(np.max(squared, axis=0))
 
 
 def _exponent(vertices: np.ndarray) -> np.ndarray:
@@ -76,24 +75,17 @@ def _exponent(vertices: np.ndarray) -> np.ndarray:
     return np.frexp(np.abs(vertices).max((-2, -1)))[1]
 
 
-def is_interior(weights: np.ndarray, floor: float = EPS_BOUNDARY):
-    """The weight test: every weight is at least ``floor``; (..., k) -> (...)."""
-    return weights.min(-1) >= floor
-
-
 def is_well_conditioned(vertices: np.ndarray, floor: float = DELTA_DEGENERACY):
-    """The conditioning test: |det(edge matrix / max edge length)| > floor;
-    finite (..., n+1, n) vertices -> (...).
+    """The conditioning test: floor * ||E||_F ||E^-1||_F <= 1 for the edge
+    matrix E; finite (..., n+1, n) vertices -> (...).
 
-    Scaling by the max edge avoids the overflow and underflow of
-    |det| > floor * edge^n, and the power-of-two rescale of ``_exponent``
-    keeps the squared edge lengths finite and nonzero.
+    The condition number is scale-free, infinite for a singular E, and grows
+    only polynomially with n on random simplices, where |det| decays like a
+    volume.  The power-of-two rescale of ``_exponent`` keeps E and its
+    inverse finite at any float64 scale.
     """
     scaled = np.ldexp(vertices, -_exponent(vertices)[..., None, None])
-    scale = np.asarray(max_edge_length(scaled))
-    nonzero = scale > 0.0
-    edges = _edges(scaled) / np.where(nonzero, scale, 1.0)[..., None, None]
-    return nonzero & (np.abs(np.linalg.det(edges)) > floor)
+    return floor * np.linalg.cond(_edges(scaled), "fro") <= 1.0
 
 
 @dataclass(frozen=True)
@@ -121,7 +113,7 @@ class BarycentricPoint:
         if total <= 0.0:
             raise NotInteriorError(f"weights must have positive sum, got {total}")
         w = w / total
-        if not is_interior(w):
+        if w.min() < EPS_BOUNDARY:
             raise NotInteriorError(
                 f"weight {w.min():.3e} below the interior margin {EPS_BOUNDARY:.0e}"
             )
@@ -151,7 +143,7 @@ class CartesianSimplex:
             raise DegenerateSimplexError("vertices must be finite")
         if not is_well_conditioned(v):
             raise DegenerateSimplexError(
-                f"|det(edges / max edge)| under the guard {DELTA_DEGENERACY:.0e}"
+                f"edge condition number above the guard 1/{DELTA_DEGENERACY:.0e}"
             )
         object.__setattr__(self, "vertices", _frozen(v))
 
@@ -390,7 +382,8 @@ def cevian_distances(batch: CevianBatch) -> tuple[np.ndarray, ...]:
 
 
 def simplex_volume(vertices: np.ndarray) -> float:
-    """Unsigned volume of the simplex spanned by the given (m+1, m) vertices.
+    """Unsigned volume of the simplex spanned by the given (m+1, m) vertices:
+    |det(A_i - A_last)| / m!, a batch of one over ``_det_ld``.
 
     No degeneracy guard: flat simplices return (near-)zero volume.  This is
     the raw determinant evaluation used as an oracle for possibly degenerate
@@ -399,8 +392,11 @@ def simplex_volume(vertices: np.ndarray) -> float:
     v = np.asarray(vertices, dtype=float)
     if v.ndim != 2 or v.shape[0] != v.shape[1] + 1:
         raise DimensionMismatchError(f"expected (m+1, m) vertex array, got {v.shape}")
-    n = v.shape[1]
-    return abs(float(np.linalg.det(v[:-1] - v[-1]))) / math.factorial(n)
+    det = np.abs(_det_ld(_edges(v)[None])[0])
+    # m! overflows float64 from m = 171: divide by its top 64 bits, then 2^shift
+    factorial = math.factorial(v.shape[1])
+    shift = max(factorial.bit_length() - 64, 0)
+    return float(np.ldexp(det / (factorial >> shift), -shift))
 
 
 def volume(s: CartesianSimplex) -> float:

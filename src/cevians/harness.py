@@ -35,11 +35,12 @@ and ``DEFAULT_TOLERANCES`` derive from it.  The checks:
 * ``affine``         determinant volume ratios are unchanged (relative
                      ``tol``) under a random invertible affine map.
 
-Sampling applies a conditioning filter so the determinant oracle's own
-rounding stays far below the tolerances: every suite requires the base
-simplex to pass ``is_well_conditioned`` at COND_DET, and the suites that
-compare routes at relative tolerance raise their weight floor to
-COND_WEIGHT.  A batch of trials is drawn and filtered as arrays; rejected
+Sampling keeps the oracle's rounding far below the tolerances: every
+simplex (and the affine suite's mapped one) must have an edge condition
+number of at most 1/COND_DET (``is_well_conditioned``), and the weights
+are drawn without rejection from the flat Dirichlet conditioned on every
+weight being at least the suite's floor, which the relative-tolerance
+suites raise to COND_WEIGHT.  A batch of trials is drawn and filtered as arrays; rejected
 rows are redrawn with the next attempt number, up to MAX_REJECTIONS rounds,
 and redraws do not count as trials.  Oracle determinants are evaluated in
 extended precision (80-bit on x86) by a batched pivoted-LU routine, which
@@ -62,19 +63,14 @@ import numpy as np
 
 from . import geometry as oracle
 from . import ratios as closed
-from .errors import (
-    DegenerateSimplexError,
-    NotInteriorError,
-    SamplingError,
-    UnsupportedDimensionError,
-)
+from .errors import DegenerateSimplexError, SamplingError, UnsupportedDimensionError
 from .geometry import BarycentricPoint, CartesianSimplex, CevianBatch
 from .geometry import _det_ld  # noqa: F401  (the benchmark traces it here)
 
-# Conditioning filter: base-simplex floor for is_well_conditioned in all
-# suites, plus a weight floor for the relative-tolerance suites, calibrated
-# so the extended-precision determinant oracle keeps three orders of
-# magnitude of headroom under a 1e-9 relative tolerance.
+# Conditioning filter: condition-number floor for is_well_conditioned in
+# all suites, plus a weight floor for the relative-tolerance suites.  The
+# float64 inputs then keep the determinant routes' relative error near
+# 2^-53 / (COND_DET * COND_WEIGHT) = 1.1e-10, under 1e-9.
 COND_DET = 1e-3
 COND_WEIGHT = 1e-3
 # Floor for determinant-route equality checks (the oracle itself cannot do
@@ -82,9 +78,6 @@ COND_WEIGHT = 1e-3
 DET_ROUTE_TOL = 1e-9
 # Collinearity slack for A_i, M, N_i, relative to the edge scale.
 COLLINEARITY_TOL = 1e-9
-# Minimum determinant of the random affine map in the affine suite.
-AFFINE_MIN_DET = 1e-6
-
 # Retry budget for rejection sampling, per trial and per sampler call.
 MAX_REJECTIONS = 1000
 
@@ -259,28 +252,28 @@ class VerificationReport:
         }
 
 
-def sample_interior(n: int, rng: np.random.Generator) -> BarycentricPoint:
-    """Uniform sample from the open standard simplex in n+1 weights.
+def _floored_weights(raw: np.ndarray, floor: float) -> np.ndarray:
+    """The flat Dirichlet conditioned on every weight >= f = floor, exactly
+    and without rejection: f + (1 - k f) E / sum(E) for k exponentials E."""
+    k = raw.shape[-1]
+    return floor + (1.0 - k * floor) * (raw / raw.sum(-1, keepdims=True))
 
-    Normalizes n+1 independent standard exponentials (the flat Dirichlet);
-    resamples in the astronomically rare event a weight lands inside the
-    EPS_BOUNDARY margin.
-    """
+
+def sample_interior(n: int, rng: np.random.Generator) -> BarycentricPoint:
+    """Uniform sample from the open standard simplex in n+1 weights,
+    conditioned on every weight being at least EPS_BOUNDARY; a batch of one
+    over the suites' weight map."""
     if n < 2:
         raise UnsupportedDimensionError(f"need n >= 2, got {n}")
-    for _ in range(MAX_REJECTIONS):
-        try:
-            return BarycentricPoint(rng.standard_exponential(n + 1))
-        except NotInteriorError:
-            continue
-    raise SamplingError(f"no interior point in {MAX_REJECTIONS} draws")
+    return BarycentricPoint(
+        _floored_weights(rng.standard_exponential(n + 1), oracle.EPS_BOUNDARY)
+    )
 
 
 def random_simplex(n: int, rng: np.random.Generator) -> CartesianSimplex:
     """Random nondegenerate simplex with vertex coordinates uniform in [-1, 1].
 
-    Resamples until the degeneracy guard passes; nearly every draw is
-    accepted for n <= 6.
+    Resamples until the degeneracy guard passes.
     """
     if n < 2:
         raise UnsupportedDimensionError(f"need n >= 2, got {n}")
@@ -385,19 +378,15 @@ def _draw_trial(stream: _TrialStream, suite: Suite, n: int, trials: np.ndarray):
         gen = stream.for_trial(trials[pending], attempt)
         rows = pending.size
         verts = gen.uniform(-1.0, 1.0, (rows, k, n))
-        raw = gen.standard_exponential((rows, k))
-        wts = raw / raw.sum(1, keepdims=True)
-        ok = oracle.is_interior(wts, suite.weight_floor) & oracle.is_well_conditioned(
-            verts, COND_DET
-        )
+        wts = _floored_weights(gen.standard_exponential((rows, k)), suite.weight_floor)
+        ok = oracle.is_well_conditioned(verts, COND_DET)
         drawn = [verts, wts]
         if suite.affine:
             amats = gen.uniform(-1.0, 1.0, (rows, n, n))
             shifts = gen.uniform(-1.0, 1.0, (rows, n))
             mapped = np.einsum("bij,bvj->bvi", amats, verts) + shifts[:, None, :]
-            ok &= (np.abs(np.linalg.det(amats)) >= AFFINE_MIN_DET) & (
-                oracle.is_well_conditioned(mapped, COND_DET)
-            )
+            # a finite condition number of E A^T also means A is invertible
+            ok &= oracle.is_well_conditioned(mapped, COND_DET)
             drawn += [amats, shifts]
         done = pending[ok]
         for dest, part in zip(out, drawn):

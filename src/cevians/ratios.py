@@ -148,17 +148,21 @@ class BoundAudit:
 
 
 def audit_bound(n: int) -> BoundAudit:
-    """Compare the displayed closed-form corner bound against f(theta_n)."""
+    """Compare the displayed closed-form corner bound against f(theta_n).
+
+    (n - theta_n)^(n+3) overflows from n = 141, so it is never formed:
+    f(theta_n) (n - theta_n)^(n+3) is regrouped per factor, and the ratio
+    is (n+1)^2 over that product.
+    """
     t = theta(n)
-    power = (n - t) ** (n + 3)
-    direct = theorem2_value(n)
-    paper = (n + 1) ** 2 / power
+    base = n - t
+    direct_times_power = (t / (1.0 - t) * base) ** n * t * (1.0 - t) * base**3
     return BoundAudit(
         n=n,
-        paper_value=paper,
-        direct_value=direct,
-        ratio=paper / direct,
-        direct_times_power=direct * power,
+        paper_value=(n + 1) ** 2 * base ** -(n + 3),
+        direct_value=theorem2_value(n),
+        ratio=(n + 1) ** 2 / direct_times_power,
+        direct_times_power=direct_times_power,
     )
 
 

@@ -3,8 +3,10 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
+from cevians import geometry
 from cevians.cli import main
 
 
@@ -129,12 +131,17 @@ class TestVerify:
             )
         assert exc.value.code == 2
 
-    def test_json_is_strict_with_sampling_failures(self, capsys):
-        # at n=10 the conditioning filter leaves trials unsampled; their
-        # infinite margins must print as strings, not as bare Infinity
+    def test_json_is_strict_with_sampling_failures(self, capsys, monkeypatch):
+        # a conditioning filter that rejects every row leaves every trial
+        # unsampled; their infinite margins must print as strings, not as
+        # bare Infinity
         def no_constants(name):
             raise ValueError(f"non-standard JSON constant {name}")
 
+        monkeypatch.setattr(
+            geometry, "is_well_conditioned",
+            lambda vertices, floor: np.zeros(vertices.shape[:-2], dtype=bool),
+        )
         argv = ["verify", "--suite", "theorem1", "--n", "10",
                 "--trials", "40", "--seed", "3"]
         code, out, _ = run_cli(capsys, *argv, "--format", "json")
@@ -146,6 +153,16 @@ class TestVerify:
         assert failures and all(v["margin"] == "inf" for v in failures)
         _, csv_out, _ = run_cli(capsys, *argv, "--format", "csv")
         assert next(csv.DictReader(io.StringIO(csv_out)))["worst_margin"] == "inf"
+
+    def test_n10_samples_every_trial(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "verify", "--suite", "theorem1", "--n", "10",
+            "--trials", "40", "--seed", "3", "--format", "json",
+        )
+        assert code == 0
+        assert "sampling-failure" not in out
+        assert json.loads(out)["passed"] is True
 
     def test_violations_exit_1(self, capsys):
         code, out, _ = run_cli(
@@ -219,6 +236,22 @@ class TestAuditBounds:
                 (n - 1) ** 2, rel=1e-10
             )
             assert row["flagged"] is True
+
+    def test_strict_json_where_powers_overflow(self, capsys):
+        # (n - theta_n)^(n+3) overflows float64 from n = 141
+        def no_constants(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        code, out, _ = run_cli(
+            capsys, "audit-bounds", "--n-max", "200", "--format", "json",
+        )
+        assert code == 0
+        rows = json.loads(out, parse_constant=no_constants)
+        assert [row["n"] for row in rows] == list(range(2, 201))
+        for row in rows:
+            # non-finite values would print as the strings "inf" and "nan"
+            assert isinstance(row["ratio"], float), row
+            assert isinstance(row["direct_times_power"], float), row
 
     def test_csv_columns(self, capsys):
         code, out, _ = run_cli(capsys, "audit-bounds", "--n-max", "3", "--format", "csv")

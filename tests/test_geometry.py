@@ -1,5 +1,6 @@
 """Geometry kernel: volumes, coordinate maps, cevian feet, configurations."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,6 +31,13 @@ UNIT_TET = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def _regular_simplex(n):
+    """The vertices e_0..e_n of R^(n+1), edge sqrt(2), in an orthonormal
+    basis of their hyperplane; volume sqrt(n+1)/n!."""
+    basis, _ = np.linalg.qr(np.vstack([np.ones(n + 1), np.eye(n + 1)[:n]]).T)
+    return basis[:, 1:]
 
 
 class TestBarycentricPoint:
@@ -68,11 +76,11 @@ class TestCartesianSimplex:
         with pytest.raises(UnsupportedDimensionError):
             CartesianSimplex([[0.0], [1.0]])
 
-    def test_guard_is_scale_free(self):
+    @pytest.mark.parametrize("base", [UNIT_TET, _regular_simplex(80)], ids=["tet", "regular80"])
+    def test_guard_is_scale_free(self, base):
         # the same shape must pass the guard at any scale
-        base = np.asarray(UNIT_TET)
         for factor in (1e-6, 1.0, 1e6):
-            CartesianSimplex(base * factor)
+            CartesianSimplex(np.asarray(base) * factor)
 
     @pytest.mark.parametrize(
         "n, scale",
@@ -105,6 +113,12 @@ class TestVolume:
 
     def test_unit_right_tetrahedron(self):
         assert volume(CartesianSimplex(UNIT_TET)) == pytest.approx(1 / 6, rel=1e-15)
+
+    @pytest.mark.parametrize("n", [2, 80, 171])
+    def test_regular_simplex(self, n):
+        # n! overflows float64 from n = 171, the volume does not
+        want = float(Fraction(math.sqrt(n + 1)) / math.factorial(n))
+        assert volume(CartesianSimplex(_regular_simplex(n))) == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_against_cofactor_expansion(self, n):

@@ -32,12 +32,12 @@ from cevians.geometry import (
     CevianBatch,
     _det_ld,
     _edges,
-    max_edge_length,
 )
 from cevians.harness import (
     DEFAULT_TOLERANCES,
     SUITE_TABLE,
     _draw_trial,
+    _floored_weights,
     _philox4x32,
     _TrialStream,
 )
@@ -95,8 +95,8 @@ class TestRandomSimplex:
             for _ in range(50):
                 s = random_simplex(n, rng)
                 assert volume(s) > 0.0
-                det = abs(np.linalg.det(s.vertices[:-1] - s.vertices[-1]))
-                assert det > DELTA_DEGENERACY * max_edge_length(s.vertices) ** n
+                edges = s.vertices[:-1] - s.vertices[-1]
+                assert np.linalg.cond(edges, "fro") <= 1.0 / DELTA_DEGENERACY
 
     def test_triangle_vertices_not_collinear(self):
         rng = _rng(5)
@@ -166,20 +166,20 @@ class TestTrialStream:
         assert run_suite(TrialPlan(suite="theorem1", n=2, trials=20, seed=seed)).passed
 
     def test_accepted_row_is_independent_of_the_batch(self):
-        # affine n=3 redraws often, so a batch mixes rows of different rounds
+        # affine n=10 redraws often, so a batch mixes rows of different rounds
         rounds = {}
         for trial in range(60):
             counter = _RoundCounter(11)
-            _draw("affine", 3, [trial], stream=counter)
+            _draw("affine", 10, [trial], stream=counter)
             rounds[trial] = counter.rounds
         quick = min(rounds, key=rounds.get)
         slow = max(rounds, key=rounds.get)
         assert rounds[quick] == 1 and rounds[slow] >= 3
-        ok_all, whole = _draw("affine", 3, range(1000))
-        ok_pair, pair = _draw("affine", 3, [quick, slow])
+        ok_all, whole = _draw("affine", 10, range(1000))
+        ok_pair, pair = _draw("affine", 10, [quick, slow])
         assert ok_all.all() and ok_pair.all()
         for at, trial in enumerate((quick, slow)):
-            ok_one, alone = _draw("affine", 3, [trial])
+            ok_one, alone = _draw("affine", 10, [trial])
             assert ok_one.all()
             for a, b, c in zip(alone, whole, pair):
                 assert np.array_equal(a[0], b[trial])
@@ -217,6 +217,25 @@ class TestBatchedSampler:
         steps = np.arange(xs.size + 1) / xs.size
         ks = max(np.abs(cdf - steps[1:]).max(), np.abs(cdf - steps[:-1]).max())
         assert ks < 0.01
+
+    def test_floored_weights_match_rejection(self):
+        # f + (1 - k f) Dirichlet(1) against the flat Dirichlet conditioned
+        # on min w >= f by rejection, at a floor that rejects 84% of draws
+        floor, count = 0.2, 20_000
+        rng = _rng(12)
+        kept = []
+        while sum(len(w) for w in kept) < count:
+            raw = rng.standard_exponential((count, 3))
+            w = raw / raw.sum(1, keepdims=True)
+            kept.append(w[w.min(1) >= floor])
+        rejected = np.concatenate(kept)[:count]
+        floored = _floored_weights(rng.standard_exponential((count, 3)), floor)
+        assert floored.min() >= floor
+        for stat in (lambda w: w[:, 0], lambda w: w.min(1)):
+            a, b = np.sort(stat(rejected)), np.sort(stat(floored))
+            grid = np.concatenate([a, b])
+            ks = np.abs(np.searchsorted(a, grid, "right") - np.searchsorted(b, grid, "right")).max()
+            assert ks / count < 0.0195  # two-sample KS at alpha = 1e-3
 
     @pytest.mark.parametrize("suite", ["theorem1", "eq2"])
     def test_weights_finite_and_above_floor(self, suite):
@@ -412,6 +431,13 @@ class TestSuites:
         for suite in ("theorem1", "eq2", "decomposition", "segment_ratio"):
             report = run_suite(TrialPlan(suite=suite, n=6, trials=800, seed=9))
             assert report.passed, suite
+
+    @pytest.mark.parametrize("suite", [s for s in SUITES if s != "moebius"])
+    @pytest.mark.parametrize("n", [12, 30])
+    def test_every_trial_sampled_at_higher_n(self, suite, n):
+        # the conditioning filter must not decay with n like a volume
+        report = run_suite(TrialPlan(suite=suite, n=n, trials=100, seed=12))
+        assert report.passed, report.violations[:3]
 
     def test_impossible_tolerance_reports_violations(self):
         plan = TrialPlan(suite="eq2", n=3, trials=200, seed=1, tol=1e-18)

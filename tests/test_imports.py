@@ -1,7 +1,8 @@
 """Module boundaries: the closed forms and the determinant oracle stay
-independent, and the CLI starts without loading scipy.optimize or starting
-a thread."""
+independent, the CLI starts without loading scipy.optimize or starting
+a thread, and the benchmark's traced functions exist."""
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -81,3 +82,17 @@ def test_cli_import_starts_no_thread():
     # split, never at import
     report = "'concurrent.futures' in sys.modules, threading.active_count()"
     assert _fresh_cli_import(report) == "False 1"
+
+
+def test_benchmark_trace_targets_resolve():
+    # the per-layer benchmark reports a renamed target as absent, not as an
+    # error, so a refactor of a traced function would go unnoticed
+    spans_path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", spans_path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for name, (module, path) in spans.TARGETS.items():
+        owner = importlib.import_module(module)
+        for part in path.split("."):
+            owner = getattr(owner, part, None)
+        assert callable(owner), name

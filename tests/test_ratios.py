@@ -185,7 +185,7 @@ class TestBoundAudit:
         # float64 against the conjectured constant and against a 50-digit
         # evaluation of the same product
         mpmath.mp.dps = 50
-        for n in range(2, 11):
+        for n in [*range(2, 11), 141, 200]:
             audit = audit_bound(n)
             assert audit.direct_times_power == pytest.approx(
                 (n - 1) ** 2, rel=1e-10
