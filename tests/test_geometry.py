@@ -76,11 +76,17 @@ class TestCartesianSimplex:
         with pytest.raises(UnsupportedDimensionError):
             CartesianSimplex([[0.0], [1.0]])
 
-    @pytest.mark.parametrize("base", [UNIT_TET, _regular_simplex(80)], ids=["tet", "regular80"])
-    def test_guard_is_scale_free(self, base):
+    def test_guard_is_scale_free(self):
         # the same shape must pass the guard at any scale
+        base = np.asarray(UNIT_TET)
         for factor in (1e-6, 1.0, 1e6):
-            CartesianSimplex(np.asarray(base) * factor)
+            CartesianSimplex(base * factor)
+
+    def test_guard_is_scale_free_in_high_dimension(self):
+        # a well-shaped simplex whose volume is far below 1 must pass too
+        base = _regular_simplex(80)
+        for factor in (1e-6, 1.0, 1e6):
+            CartesianSimplex(base * factor)
 
     @pytest.mark.parametrize(
         "n, scale",
