@@ -6,7 +6,7 @@ class CevianError(Exception):
 
 
 class DegenerateSimplexError(CevianError):
-    """Simplex failed the relative determinant guard."""
+    """Simplex failed the conditioning guard on its edge condition number."""
 
 
 class DimensionMismatchError(CevianError):

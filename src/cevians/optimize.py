@@ -8,14 +8,15 @@ reduces to the scalar function
     f(x) = (x / (1-x))^n * (1 - nx),   0 < x < 1/n.
 
 Both maximizers here are numerical and independent of the closed form for
-theta_n, so agreement with constants.theta is a genuine cross-check:
+theta_n, so agreement with constants.theta is a genuine cross-check.  Both
+search on the log of their objective and report scale-free residuals:
 
-* maximize_f_1d brackets the scalar maximum by golden-section search and
-  refines it by bisection on the sign of f'.
-* maximize_F_simplex removes the simplex constraint by an exponential
-  normalization (softmax with the last coordinate pinned to 0) and runs a
-  seeded multi-start Nelder-Mead direct search; derivative-free on purpose,
-  so it doubles as an independence check on the closed-form derivative.
+* maximize_f_1d: golden-section search on log f, refined by bisection on
+  the sign of d log f/dx.
+* maximize_F_simplex: a seeded multi-start compass search (Kolda, Lewis
+  and Torczon, SIAM Review 45(3), 2003) in free coordinates u with
+  w = softmax([u, 0]); derivative-free on purpose, so it doubles as an
+  independence check on the closed-form derivative.
 """
 from __future__ import annotations
 
@@ -26,9 +27,10 @@ import numpy as np
 
 from .errors import ConvergenceError, OutOfDomainError, UnsupportedDimensionError
 from .geometry import BarycentricPoint
-from .ratios import corner_ratio
+from .harness import _TrialStream
+from .ratios import corner_ratio, corner_ratios
 
-# Shared iteration cap per optimizer start.
+# Iteration cap per optimizer start; a compass-search iteration is one poll.
 MAX_ITERATIONS = 10_000
 # Margin from the open-interval endpoints of the 1-D domain.
 DOMAIN_MARGIN = 1e-12
@@ -95,41 +97,49 @@ class OptimizerResult:
 def maximize_f_1d(n: int, tol: float = 1e-10) -> OptimizerResult:
     """Locate the scalar maximizer of f on (0, 1/n) to within tol.
 
-    Golden-section search first shrinks the bracket, then bisection on the
-    sign of f' (an exact sign signal: f' crosses zero only at the maximum)
-    polishes it to width min(tol, 1e-12).  Raises ConvergenceError if the
-    iteration cap lands first, which only happens for tolerances below
-    what float64 can represent.
+    Golden-section search on log f (finite where f underflows, n >= 140)
+    first shrinks the bracket, then bisection on the sign of d log f/dx (an
+    exact sign signal: it crosses zero only at the maximum) polishes it to
+    width min(tol, 1e-12).  The residual is x |d log f/dx|.  Raises
+    ConvergenceError if the iteration cap lands first, which only happens
+    for tolerances below what float64 can represent.
     """
     if n < 2:
         raise UnsupportedDimensionError(f"need n >= 2, got {n}")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
+
+    def log_f(x: float) -> float:
+        return n * (math.log(x) - math.log1p(-x)) + math.log1p(-n * x)
+
+    def dlog_f(x: float) -> float:
+        return n / (x * (1.0 - x)) - n / (1.0 - n * x)
+
     lo = DOMAIN_MARGIN
     hi = 1.0 / n - DOMAIN_MARGIN
     iterations = 0
 
-    # Golden-section: maximize f, keep a shrinking 4-point bracket.
+    # Golden-section: maximize log f, keep a shrinking 4-point bracket.
     c = hi - _INV_GOLDEN * (hi - lo)
     d = lo + _INV_GOLDEN * (hi - lo)
-    fc, fd = f(c, n), f(d, n)
+    fc, fd = log_f(c), log_f(d)
     while hi - lo > 1e-6 / n and iterations < MAX_ITERATIONS:
         iterations += 1
         if fc < fd:
             lo, c, fc = c, d, fd
             d = lo + _INV_GOLDEN * (hi - lo)
-            fd = f(d, n)
+            fd = log_f(d)
         else:
             hi, d, fd = d, c, fc
             c = hi - _INV_GOLDEN * (hi - lo)
-            fc = f(c, n)
+            fc = log_f(c)
 
-    # Bisection on sign(f'): f' > 0 left of the maximizer, < 0 right of it.
+    # Bisection on sign(d log f/dx): > 0 left of the maximizer, < 0 right.
     target = min(tol, 1e-12)
     while hi - lo > target and iterations < MAX_ITERATIONS:
         iterations += 1
         mid = 0.5 * (lo + hi)
-        if f_prime(mid, n) > 0.0:
+        if dlog_f(mid) > 0.0:
             lo = mid
         else:
             hi = mid
@@ -140,7 +150,7 @@ def maximize_f_1d(n: int, tol: float = 1e-10) -> OptimizerResult:
         )
 
     x = 0.5 * (lo + hi)
-    residual = abs(f_prime(x, n))
+    residual = x * abs(dlog_f(x))
     return OptimizerResult(
         argmax=x,
         value=f(x, n),
@@ -153,29 +163,21 @@ def maximize_f_1d(n: int, tol: float = 1e-10) -> OptimizerResult:
 
 
 def _softmax_weights(u: np.ndarray) -> np.ndarray:
-    """Map the free vector u in R^n to simplex weights (last coord pinned 0)."""
-    z = np.append(u, 0.0)
-    z -= z.max()
-    w = np.exp(z)
-    return w / w.sum()
+    """Map free vectors u (..., n) to simplex weights (..., n+1)."""
+    z = np.concatenate((u, np.zeros(u.shape[:-1] + (1,))), -1)
+    w = np.exp(z - z.max(-1, keepdims=True))
+    return w / w.sum(-1, keepdims=True)
 
 
-def _objective_from_free(u: np.ndarray) -> float:
-    """F in the unconstrained parameterization; 0 outside the safe region.
-
-    Clipping to 0 when any of the first n weights reaches 1 - 1e-12 is
-    consistent: F -> 0 on the boundary, and the maximizer's weights stay
-    near theta_n, far inside.
-    """
+def _log_F(u: np.ndarray) -> np.ndarray:
+    """log F at free vectors u (..., n); -inf where a leading weight reaches
+    1 - 1e-12 (F -> 0 on the boundary, the maximizer is far inside) and
+    wherever log F is not finite, so a NaN never wins an argmax."""
     w = _softmax_weights(u)
-    if w[:-1].max() >= 1.0 - 1e-12:
-        return 0.0
-    return F(w)
-
-
-def _restart_rng(seed: int, restart: int) -> np.random.Generator:
-    """Independent substream per restart, keyed by (seed, restart index)."""
-    return np.random.Generator(np.random.Philox(key=[seed, restart]))
+    with np.errstate(all="ignore"):
+        value = np.log(corner_ratios(w, (u.shape[-1],))[..., 0])
+    safe = (w[..., :-1] < 1.0 - 1e-12).all(-1) & np.isfinite(value)
+    return np.where(safe, value, -np.inf)
 
 
 def maximize_F_simplex(
@@ -184,12 +186,15 @@ def maximize_F_simplex(
     tol: float = 1e-9,
     seed: int = 0,
 ) -> OptimizerResult:
-    """Maximize F over the open standard simplex by multi-start Nelder-Mead.
+    """Maximize F over the open standard simplex by multi-start compass search.
 
-    Each restart draws its starting point from its own (seed, restart)
-    substream, so results are identical no matter how restarts are
-    scheduled.  The best restart wins; ties break toward the lowest restart
-    index.  Raises ConvergenceError if no restart converges.
+    Restart k starts at trial k of the harness's Philox4x32-10 stream.  Each
+    iteration it polls u +- step e_i, moves to the first best poll if that
+    strictly improves log F and halves step otherwise; it has converged once
+    step < tol at a finite log F, within MAX_ITERATIONS polls.  Restarts poll
+    in lockstep, but a row's decisions depend only on that row, so its path
+    does not depend on how many run.  The best converged restart wins, ties
+    toward the lowest index.  Raises ConvergenceError if none converges.
     """
     if n < 2:
         raise UnsupportedDimensionError(f"need n >= 2, got {n}")
@@ -197,57 +202,49 @@ def maximize_F_simplex(
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    # Imported here, not at module level: scipy.optimize is most of the
-    # package's import time, and only this function needs it.
-    from scipy.optimize import minimize
 
-    best_u = None
-    best_value = -math.inf
-    best_converged = False
-    total_iterations = 0
-    log = []
-    for k in range(restarts):
-        u0 = _restart_rng(seed, k).normal(0.0, 1.0, size=n)
-        res = minimize(
-            lambda u: -_objective_from_free(u),
-            u0,
-            method="Nelder-Mead",
-            options=dict(
-                xatol=tol,
-                fatol=np.inf,
-                maxiter=MAX_ITERATIONS,
-                maxfev=8 * MAX_ITERATIONS,
-            ),
-        )
-        value = -float(res.fun)
-        total_iterations += int(res.nit)
-        log.append((k, value, bool(res.success), int(res.nit),
-                    tuple(_softmax_weights(res.x))))
-        if res.success and value > best_value:
-            best_u, best_value, best_converged = res.x, value, True
+    starts = _TrialStream(seed).for_trial(np.arange(restarts), 0)
+    u = starts.uniform(-1.0, 1.0, (restarts, n))
+    value = _log_F(u)
+    step = np.ones(restarts)
+    polls = np.zeros(restarts, dtype=int)
+    directions = np.concatenate((np.eye(n), -np.eye(n)))
+    while True:
+        active = np.flatnonzero((step >= tol) & (polls < MAX_ITERATIONS))
+        if not active.size:
+            break
+        points = u[active, None, :] + step[active, None, None] * directions
+        scores = _log_F(points)
+        best = scores.argmax(-1)
+        moved = scores[np.arange(active.size), best] > value[active]
+        rows = active[moved]
+        u[rows] = points[moved, best[moved]]
+        value[rows] = scores[moved, best[moved]]
+        step[active[~moved]] *= 0.5
+        polls[active] += 1
 
-    if not best_converged:
+    converged = (step < tol) & np.isfinite(value)
+    if not converged.any():
         raise ConvergenceError(f"no restart converged out of {restarts}")
+    k = int(np.where(converged, value, -np.inf).argmax())
 
-    # Central-difference gradient of F in the free parameterization.
+    # Scale-free residual: the largest central difference of log F in u.
     h = 1e-6
-    residual = 0.0
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        residual = max(
-            residual,
-            abs(_objective_from_free(best_u + e) - _objective_from_free(best_u - e))
-            / (2.0 * h),
-        )
+    sides = _log_F(u[k] + h * directions)
+    residual = float(np.abs(sides[:n] - sides[n:]).max() / (2.0 * h))
 
-    argmax = BarycentricPoint(_softmax_weights(best_u))
+    weights = _softmax_weights(u)
+    argmax = BarycentricPoint(weights[k])
     return OptimizerResult(
         argmax=argmax,
         value=F(argmax),
-        iterations=total_iterations,
+        iterations=int(polls.sum()),
         restarts_used=restarts,
         converged=residual <= GRADIENT_TOL,
         first_order_residual=residual,
-        restart_log=tuple(log),
+        restart_log=tuple(
+            (i, float(np.exp(value[i])), bool(converged[i]), int(polls[i]),
+             tuple(weights[i].tolist()))
+            for i in range(restarts)
+        ),
     )

@@ -218,6 +218,17 @@ class TestOptimize:
         got = payload["argmax_weights"]
         assert all(abs(a - b) <= 1e-5 for a, b in zip(got, want))
 
+    def test_underflow_exit_4(self, capsys):
+        # F underflows at every start, so no restart converges
+        code, out, err = run_cli(
+            capsys,
+            "optimize", "--n", "150", "--restarts", "2", "--seed", "1",
+            "--format", "json",
+        )
+        assert code == 4
+        assert out == ""
+        assert "did not converge" in err
+
 
 class TestAuditBounds:
     def test_rows(self, capsys):

@@ -1,6 +1,6 @@
 """Module boundaries: the closed forms and the determinant oracle stay
-independent, the CLI starts without loading scipy.optimize or starting
-a thread, and the benchmark's traced functions exist."""
+independent, the package runs without scipy, the CLI starts without
+starting a thread, and the benchmark's traced functions exist."""
 import ast
 import importlib.util
 import os
@@ -58,23 +58,54 @@ def test_geometry_never_imports_ratios():
     assert "ratios" not in _reachable("geometry")
 
 
-def _fresh_cli_import(report: str) -> str:
-    """Output of ``report`` evaluated right after `import cevians.cli` in a
-    new interpreter."""
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that finds this package."""
     path = os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
     )
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         f"import sys, threading, cevians.cli; print({report})"],
+    return subprocess.run(
+        [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True, text=True, check=True, timeout=60,
+        capture_output=True, text=True, timeout=60,
     )
+
+
+def _fresh_cli_import(report: str) -> str:
+    """Output of ``report`` evaluated right after `import cevians.cli` in a
+    new interpreter."""
+    proc = _fresh_python(f"import sys, threading, cevians.cli; print({report})")
+    proc.check_returncode()
     return proc.stdout.strip()
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    assert _fresh_cli_import("'scipy.optimize' in sys.modules") == "False"
+def test_package_never_imports_scipy():
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            assert all(name.split(".")[0] != "scipy" for name in names), path.name
+
+
+def test_optimize_runs_without_scipy():
+    # a finder ahead of every other refuses scipy, as if it were not
+    # installed, and the optimizers still run end to end
+    code = """
+import sys
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"no module named {name!r}", name=name)
+sys.meta_path.insert(0, RefuseScipy())
+from cevians import cli
+sys.exit(cli.main(["optimize", "--n", "4", "--format", "json"]))
+"""
+    proc = _fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert '"converged_simplex": true' in proc.stdout
 
 
 def test_cli_import_starts_no_thread():

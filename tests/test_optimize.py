@@ -110,7 +110,7 @@ class TestObjective:
 
 
 class TestScalarMaximizer:
-    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("n", [*range(2, 11), 140, 200])
     def test_recovers_theta(self, n):
         res = maximize_f_1d(n, tol=1e-10)
         assert res.converged
@@ -189,6 +189,31 @@ class TestSimplexMaximizer:
             if entry[2]
         }
         assert len(points) == 1  # no non-symmetric stationary points observed
+
+    @pytest.mark.parametrize("n", [12, 20, 30])
+    def test_every_restart_converges_at_higher_n(self, n):
+        res = maximize_F_simplex(n, restarts=4, seed=1)
+        assert res.converged
+        assert all(entry[2] for entry in res.restart_log)
+        assert np.abs(res.argmax.weights[:n] - theta(n)).max() <= 1e-6
+
+    def test_loose_tolerance_is_not_converged(self):
+        # a step below 1e-2 stops the search far from the maximizer; the
+        # residual of log F must say so
+        res = maximize_F_simplex(12, restarts=4, tol=1e-2, seed=1)
+        assert not res.converged
+        assert res.first_order_residual > 1e-6
+
+    def test_underflow_at_every_start_raises(self):
+        # F underflows to 0 near every start at n = 150, so log F is -inf
+        # there and no restart can report a maximum
+        with pytest.raises(ConvergenceError):
+            maximize_F_simplex(150, restarts=2, seed=1)
+
+    def test_restart_independent_of_restart_count(self):
+        few = maximize_F_simplex(5, restarts=4, seed=3)
+        many = maximize_F_simplex(5, restarts=16, seed=3)
+        assert few.restart_log == many.restart_log[:4]
 
     def test_validation(self):
         with pytest.raises(UnsupportedDimensionError):
