@@ -39,11 +39,13 @@ EPS_BOUNDARY = 1e-9
 # at most 1 / DELTA_DEGENERACY.
 DELTA_DEGENERACY = 1e-9
 
-# The determinant oracle splits a batch across the cores only when every
-# slice gets at least this many rows.  On a 2-core Xeon two slices of 2048
-# rows ran 1.15x (3x3) to 1.5x (7x7) faster than one batch of 4096; two
-# slices of 1024 3x3 matrices gained nothing, and a fresh process pays
-# about 9 ms to start the pool.
+# Row block of the oracle's LU and of the conditioning test's kernel.  A
+# call of more than one block shares the blocks with the thread pool
+# (``_row_blocks``); a call of one block never starts it, so a 2048-trial
+# batch runs on the calling thread alone.  On a 2-core Xeon, 7x7 LU blocks
+# of 2048 rows ran 1.5x faster on two cores than one batch of 4096; 3x3
+# blocks of 1024 gained nothing, and a fresh process pays about 9 ms to
+# start the pool.
 SPLIT_MIN_ROWS = 2048
 
 
@@ -82,10 +84,22 @@ def is_well_conditioned(vertices: np.ndarray, floor: float = DELTA_DEGENERACY):
     The condition number is scale-free, infinite for a singular E, and grows
     only polynomially with n on random simplices, where |det| decays like a
     volume.  The power-of-two rescale of ``_exponent`` keeps E and its
-    inverse finite at any float64 scale.
+    inverse finite at any float64 scale.  Rows of SPLIT_MIN_ROWS simplices
+    go through ``_inverse_norm`` one block at a time.
     """
-    scaled = np.ldexp(vertices, -_exponent(vertices)[..., None, None])
-    return floor * np.linalg.cond(_edges(scaled), "fro") <= 1.0
+    vertices = np.asarray(vertices, dtype=float)
+    flat = vertices.reshape(-1, *vertices.shape[-2:])
+    out = np.empty(len(flat), dtype=bool)
+
+    def block(lo, hi):
+        part = flat[lo:hi]
+        edges = _edges(np.ldexp(part, -_exponent(part)[:, None, None]))
+        with np.errstate(all="ignore"):
+            kappa = np.sqrt((edges * edges).sum((-2, -1))) * _inverse_norm(edges)
+        out[lo:hi] = floor * kappa <= 1.0
+
+    _row_blocks(block, len(flat), SPLIT_MIN_ROWS)
+    return out.reshape(vertices.shape[:-2])
 
 
 @dataclass(frozen=True)
@@ -204,50 +218,79 @@ def _det_ld(mats: np.ndarray) -> np.ndarray:
 
     mats: (B, m, m) in any float dtype; returns (B,) longdouble.  Each
     determinant depends only on its own matrix, so results do not depend
-    on the batch split.  A batch of at least 2 * SPLIT_MIN_ROWS rows is cut
-    into contiguous slices of at least SPLIT_MIN_ROWS rows, at most one per
-    core the process may run on; the calling thread computes the first and
-    a thread pool the rest.
+    on how ``_row_blocks`` shares the rows of SPLIT_MIN_ROWS blocks.
     """
-    b = mats.shape[0]
-    slices = min(_cores(), b // SPLIT_MIN_ROWS)
-    if slices < 2:
-        return _lu_det(mats)
-    bounds = [b * i // slices for i in range(slices + 1)]
-    pool = _pool()
-    rest = [pool.submit(_lu_det, mats[lo:hi]) for lo, hi in zip(bounds[1:], bounds[2:])]
-    first = _lu_det(mats[: bounds[1]])
-    return np.concatenate([first] + [future.result() for future in rest])
+    out = np.empty(mats.shape[0], dtype=np.longdouble)
+
+    def block(lo, hi):
+        out[lo:hi] = _lu_det(mats[lo:hi])
+
+    _row_blocks(block, mats.shape[0], SPLIT_MIN_ROWS)
+    return out
+
+
+def _pivot(a: np.ndarray, col: int, first: int) -> np.ndarray:
+    """Partial pivoting on a contiguous batch-last (m, w, B) array: moves
+    the first argmax of |a[col:, col]| of each lane into row col.  Only the
+    lanes that pivot swap, and only in columns first:, by flat take/put
+    indices.  Returns the mask of lanes that swapped."""
+    _, w, b = a.shape
+    piv = np.abs(a[col:, col]).argmax(axis=0)
+    lanes = np.flatnonzero(piv)
+    if lanes.size:
+        # Flat indices of columns first: of row col and of the pivot row.
+        flat = a.reshape(-1)
+        top = (np.arange(col * w + first, (col + 1) * w) * b)[:, None] + lanes
+        low = top + piv[lanes] * (w * b)
+        saved = flat[top]
+        flat[top] = flat[low]
+        flat[low] = saved
+    return piv != 0
 
 
 def _lu_det(mats: np.ndarray) -> np.ndarray:
     """The pivoted LU of ``_det_ld`` on a batch-last (m, m, B) copy, so
-    every step works on contiguous lanes.  The pivot is the first argmax of
-    |a[col:, col]|.  Only the lanes that pivot swap, and only in columns
-    col:.  Only a[col+1:, col+1:] is updated, by a rounded product and then
-    a subtraction; column col below the diagonal is never read again."""
+    every step works on contiguous lanes.  ``_pivot`` swaps columns col:.
+    Only a[col+1:, col+1:] is updated, by a rounded product and then a
+    subtraction; column col below the diagonal is never read again."""
     b, m, _ = mats.shape
     a = np.empty((m, m, b), dtype=np.longdouble)
     a[...] = mats.transpose(1, 2, 0)
-    flat = a.reshape(-1)
     det = np.ones(b, dtype=np.longdouble)
     for col in range(m):
-        piv = np.abs(a[col:, col]).argmax(axis=0)
-        lanes = np.flatnonzero(piv)
-        if lanes.size:
-            # Flat indices of columns col: of row col and of the pivot row.
-            cols = np.arange(col, m)[:, None]
-            top = ((col * m + cols) * b + lanes).ravel()
-            low = (((piv[lanes] + col) * m + cols) * b + lanes).ravel()
-            saved = flat[top]
-            flat[top] = flat[low]
-            flat[low] = saved
-            np.negative(det, out=det, where=piv != 0)
+        np.negative(det, out=det, where=_pivot(a, col, col))
         pivots = a[col, col]
         det *= pivots
         factors = a[col + 1 :, col] / np.where(pivots == 0.0, 1.0, pivots)
         a[col + 1 :, col + 1 :] -= factors[:, None] * a[col, col + 1 :]
     return det
+
+
+def _inverse_norm(mats: np.ndarray) -> np.ndarray:
+    """||A^-1||_F of each float64 (B, m, m) matrix, inf where a pivot is 0.
+
+    In-place Gauss-Jordan elimination on a batch-last (m, m, B) copy, with
+    the pivoting of ``_pivot`` over whole rows: column col of the inverse
+    takes the place of column col of A.  The row swaps permute the columns
+    of the inverse, which leaves its norm unchanged.
+    """
+    b, m, _ = mats.shape
+    a = np.empty((m, m, b))
+    a[...] = mats.transpose(1, 2, 0)
+    singular = np.zeros(b, dtype=bool)
+    for col in range(m):
+        _pivot(a, col, 0)
+        pivots = a[col, col].copy()
+        singular |= pivots == 0.0
+        factors = a[:, col].copy()
+        factors[col] = 0.0
+        a[:, col] = 0.0
+        a[col, col] = 1.0
+        a[col] /= np.where(pivots == 0.0, 1.0, pivots)
+        a -= factors[:, None] * a[col]
+    norm = np.sqrt((a * a).sum((0, 1)))
+    norm[singular] = np.inf
+    return norm
 
 
 def _cores() -> int:
@@ -258,19 +301,89 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
+class _Claims:
+    """The row blocks of one ``_row_blocks`` call, claimed one at a time by
+    the calling thread and by any pool worker that is free.
+
+    ``kernel(lo, hi)`` writes the result of rows lo:hi itself.  The caller
+    waits only for blocks a worker claimed, then drops the kernel, so a
+    worker that comes late finds nothing to do and holds no reference to
+    the batch.  A kernel's exception is kept for the caller to raise.
+    """
+
+    def __init__(self, kernel, bounds: list) -> None:
+        self._kernel = kernel
+        self._bounds = bounds
+        self._next = 0
+        self._in_workers = 0
+        self._error = None
+        self._cond = threading.Condition()
+
+    def work(self, worker: bool = True) -> None:
+        """Claim and run blocks until none is left; never raises.  The
+        first exception stops further claims."""
+        while True:
+            with self._cond:
+                if self._kernel is None or self._next == len(self._bounds) - 1:
+                    return
+                kernel, lo, hi = self._kernel, *self._bounds[self._next : self._next + 2]
+                self._next += 1
+                self._in_workers += worker
+            error = None
+            try:
+                kernel(lo, hi)
+            except BaseException as exc:  # raised again by the caller
+                error = exc
+            kernel = None
+            with self._cond:
+                if error is not None and self._error is None:
+                    self._error, self._kernel = error, None
+                self._in_workers -= worker
+                self._cond.notify_all()
+
+    def finish(self) -> None:
+        """The caller's part: claim blocks, wait for the ones workers
+        claimed, drop the kernel, and raise the first exception."""
+        self.work(worker=False)
+        with self._cond:
+            self._kernel = None
+            self._cond.wait_for(lambda: not self._in_workers)
+            error, self._error = self._error, None
+        if error is not None:
+            raise error
+
+
+def _row_blocks(kernel, rows: int, step: int) -> None:
+    """Run ``kernel(lo, hi)`` over rows 0:rows in blocks of ``step`` rows.
+    A call of one block runs on the calling thread alone; otherwise up to
+    one worker per other core of ``_pool()`` helps (``_Claims``)."""
+    bounds = [*range(0, rows, step), rows]
+    if len(bounds) <= 2:
+        if rows:
+            kernel(0, rows)
+        return
+    claims = _Claims(kernel, bounds)
+    helpers = min(_cores(), len(bounds) - 1) - 1
+    if helpers > 0:
+        pool = _pool()
+        for _ in range(helpers):
+            pool.submit(claims.work)
+    claims.finish()
+
+
 _POOL = None
 _POOL_LOCK = threading.Lock()
 
 
 def _pool():
-    """The oracle's thread pool, made on first use with one thread per core
-    but the caller's."""
+    """The thread pool of ``_row_blocks``, made on first use with one
+    thread per core but the caller's."""
     global _POOL
     with _POOL_LOCK:
         if _POOL is None:
             from concurrent.futures import ThreadPoolExecutor
 
-            _POOL = ThreadPoolExecutor(_cores() - 1, thread_name_prefix="cevians-det")
+            _POOL = ThreadPoolExecutor(_cores() - 1, thread_name_prefix="cevians-rows")
         return _POOL
 
 

@@ -21,7 +21,17 @@ from cevians import (
     to_cartesian,
     volume,
 )
-from cevians.geometry import EPS_BOUNDARY, CevianBatch, cevian_distances
+from cevians.geometry import (
+    DELTA_DEGENERACY,
+    EPS_BOUNDARY,
+    CevianBatch,
+    _edges,
+    _exponent,
+    _inverse_norm,
+    cevian_distances,
+    is_well_conditioned,
+)
+from cevians.harness import COND_DET
 
 from oracles import simplex_volume_cofactor
 
@@ -111,6 +121,90 @@ class TestCartesianSimplex:
             return True
 
         assert accepted(scale * v) == accepted(v) == (flatness == 1.0)
+
+
+def _scaled_edges(vertices):
+    return _edges(np.ldexp(vertices, -_exponent(vertices)[..., None, None]))
+
+
+class TestConditionKernel:
+    """``is_well_conditioned``'s Gauss-Jordan kernel against LAPACK through
+    ``np.linalg.cond(E, "fro")``.  Both invert E with partial pivoting in
+    float64, so each is within about 3m unit roundoffs (1.5 m eps) times
+    kappa of the true inverse, relatively; kappa may differ by twice that,
+    rounded up to 4 m eps kappa."""
+
+    @staticmethod
+    def _check(vertices):
+        edges = _scaled_edges(vertices)
+        m = edges.shape[-1]
+        want = np.linalg.cond(edges, "fro")
+        with np.errstate(all="ignore"):
+            got = np.sqrt((edges * edges).sum((-2, -1))) * _inverse_norm(edges)
+        finite = np.isfinite(want)
+        assert np.array_equal(finite, np.isfinite(got))
+        tol = 4 * m * np.finfo(float).eps * want[finite]
+        assert np.all(np.abs(got[finite] - want[finite]) <= tol * want[finite])
+        for floor in (COND_DET, DELTA_DEGENERACY):
+            assert np.array_equal(
+                is_well_conditioned(vertices, floor), floor * want <= 1.0
+            )
+        return got
+
+    @pytest.mark.parametrize("n", [2, 6, 12, 30])
+    def test_random_batches(self, n):
+        vertices = _rng(40 + n).uniform(-1, 1, (2000 if n < 30 else 300, n + 1, n))
+        kappa = self._check(vertices)
+        # both sides of the sampler's bound occur
+        assert np.any(COND_DET * kappa <= 1.0)
+        if n >= 12:
+            assert np.any(COND_DET * kappa > 1.0)
+
+    def test_singular_edges(self):
+        vertices = _rng(41).uniform(-1, 1, (6, 5, 4))
+        vertices[0, :, 2] = 0.5  # one coordinate shared: a zero column of E
+        vertices[1, 3] = vertices[1, 1]  # a repeated vertex: two equal rows
+        vertices[2, 4] = vertices[2, 0]  # repeats the last vertex: a zero row
+        vertices[3] = 0.0
+        kappa = self._check(vertices)
+        assert not np.isfinite(kappa[:4]).any() and np.isfinite(kappa[4:]).all()
+
+    def test_pivots_in_every_column(self):
+        # the largest entry of column c sits in row c + 1, so every column
+        # but the last pivots, in every lane
+        m = 5
+        shift = np.roll(np.eye(m), 1, axis=0)
+        edges = 10.0 * shift + _rng(42).uniform(-1, 1, (50, m, m))
+        vertices = np.concatenate([edges, np.zeros((50, 1, m))], axis=1) / 16.0
+        self._check(vertices)
+
+    def test_regular_80_simplex(self):
+        kappa = self._check(_regular_simplex(80)[None])
+        assert kappa[0] == pytest.approx(112.0, abs=1.0)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_extreme_scales(self, scale):
+        vertices = _rng(43).uniform(-1, 1, (500, 7, 6))
+        self._check(scale * vertices)
+        for floor in (COND_DET, 1e-2):
+            assert np.array_equal(
+                is_well_conditioned(scale * vertices, floor),
+                is_well_conditioned(vertices, floor),
+            )
+
+    def test_rows_holding_nan_or_inf(self):
+        vertices = _rng(44).uniform(-1, 1, (8, 4, 3))
+        vertices[0, 1, 2] = np.nan
+        vertices[1, 3, 0] = np.inf
+        vertices[2, 0, 0] = -np.inf
+        vertices[3, :, 1] = np.nan
+        with np.errstate(all="ignore"):
+            want = np.linalg.cond(_scaled_edges(vertices), "fro")
+        for floor in (COND_DET, DELTA_DEGENERACY):
+            ok = is_well_conditioned(vertices, floor)
+            assert np.array_equal(ok, floor * want <= 1.0)
+            assert not ok[:4].any() and ok[4:].all()
 
 
 class TestVolume:

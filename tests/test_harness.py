@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -34,7 +35,9 @@ from cevians.geometry import (
     _edges,
 )
 from cevians.harness import (
+    COND_DET,
     DEFAULT_TOLERANCES,
+    PHILOX_ROW_BLOCK,
     SUITE_TABLE,
     _draw_trial,
     _floored_weights,
@@ -164,6 +167,25 @@ class TestTrialStream:
         assert np.all((-1.0 <= u) & (u < 1.0))
         assert not np.array_equal(u, self._uniforms(seed - 1, 3, 0, size=1000))
         assert run_suite(TrialPlan(suite="theorem1", n=2, trials=20, seed=seed)).passed
+
+    @pytest.mark.parametrize("n", [6, 30])
+    def test_row_blocks_match_row_by_row_draws(self, n):
+        # each call runs Philox over row blocks of PHILOX_ROW_BLOCK
+        # counters; the rows must be bit-identical to one row at a time
+        counters = (n + 2) // 2  # per row of standard_exponential((rows, n + 1))
+        rows = 3 * (PHILOX_ROW_BLOCK // counters) + 5
+        assert rows > 3 * max(1, PHILOX_ROW_BLOCK // ((n + 1) * n // 2))
+        trials = np.arange(2**32 - 7, 2**32 - 7 + rows)
+
+        def draws(gen, count):
+            return (gen.uniform(-1.0, 1.0, (count, n + 1, n)),
+                    gen.standard_exponential((count, n + 1)))
+
+        whole = draws(_TrialStream(5).for_trial(trials, 2), rows)
+        for at, trial in enumerate(trials):
+            one = draws(_TrialStream(5).for_trial(trials[at : at + 1], 2), 1)
+            for a, b in zip(one, whole):
+                assert np.array_equal(a[0], b[at]), trial
 
     def test_accepted_row_is_independent_of_the_batch(self):
         # affine n=10 redraws often, so a batch mixes rows of different rounds
@@ -354,6 +376,51 @@ print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
             capture_output=True, text=True, check=True, timeout=60,
         )
         assert proc.stdout.strip() == "0"
+
+
+class TestRowBlocks:
+    """Kernels shared with the pool while its only worker is held busy."""
+
+    def test_busy_worker_leaves_the_caller_all_blocks(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_cores", lambda: 2)
+        monkeypatch.setattr(geometry, "_POOL", None)
+        rows = 3 * SPLIT_MIN_ROWS + 5
+        mats = _rng(30).uniform(-1, 1, (rows, 5, 5))
+        verts = _rng(31).uniform(-1, 1, (rows, 5, 4))
+        want_det = reference_det_ld(mats)
+        want_ok = np.concatenate([
+            geometry.is_well_conditioned(verts[i : i + 1000], COND_DET)
+            for i in range(0, rows, 1000)
+        ])
+        want_u = np.concatenate([
+            _TrialStream(3).for_trial(np.array([t]), 0).uniform(-1.0, 1.0, (1, 5, 4))
+            for t in range(rows)
+        ])
+
+        def calls():
+            # fresh batches the caller alone refers to
+            draws = _TrialStream(3).for_trial(np.arange(rows), 0)
+            batch = (mats.copy(), verts.copy(), draws)
+            got = (_det_ld(batch[0]), geometry.is_well_conditioned(batch[1], COND_DET),
+                   batch[2].uniform(-1.0, 1.0, (rows, 5, 4)))
+            return got, [weakref.ref(x) for x in batch]
+
+        busy, release = threading.Event(), threading.Event()
+        pool = geometry._pool()
+        blocker = pool.submit(lambda: busy.set() or release.wait(60))
+        try:
+            assert busy.wait(10)
+            with ThreadPoolExecutor(1) as caller:
+                (dets, ok, u), refs = caller.submit(calls).result(timeout=60)
+            # the worker's queued claims are still pending here
+            assert all(ref() is None for ref in refs)
+        finally:
+            release.set()
+            blocker.result(timeout=10)
+            pool.shutdown()
+        assert np.array_equal(dets, want_det)
+        assert np.array_equal(ok, want_ok)
+        assert np.array_equal(u, want_u)
 
 
 def _relative_errors(mats):

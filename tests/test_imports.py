@@ -1,14 +1,18 @@
 """Module boundaries: the closed forms and the determinant oracle stay
 independent, the package runs without scipy, the CLI starts without
-starting a thread, and the benchmark's traced functions exist."""
+starting a thread, and the benchmark's traced functions exist and run on
+the calling thread."""
 import ast
+import functools
 import importlib.util
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import cevians
+from cevians import geometry, harness
 
 PACKAGE = Path(cevians.__file__).resolve().parent
 RECORD_TYPES = {"BarycentricPoint", "MoebiusAreas"}
@@ -115,15 +119,77 @@ def test_cli_import_starts_no_thread():
     assert _fresh_cli_import(report) == "False 1"
 
 
-def test_benchmark_trace_targets_resolve():
-    # the per-layer benchmark reports a renamed target as absent, not as an
-    # error, so a refactor of a traced function would go unnoticed
+def test_cold_verify_starts_no_pool():
+    # the cli-cold benchmark's verify call: every kernel fits one row block
+    code = """
+from cevians import cli, geometry
+code = cli.main(["verify", "--suite", "theorem1", "--n", "3", "--trials", "2048",
+                 "--format", "json"])
+print(code, geometry._POOL)
+"""
+    proc = _fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "0 None"
+
+
+def _bench_spans():
     spans_path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
     spec = importlib.util.spec_from_file_location("bench_spans", spans_path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    for name, (module, path) in spans.TARGETS.items():
+    return spans
+
+
+def test_benchmark_trace_targets_resolve():
+    # the per-layer benchmark reports a renamed target as absent, not as an
+    # error, so a refactor of a traced function would go unnoticed
+    for name, (module, path) in _bench_spans().TARGETS.items():
         owner = importlib.import_module(module)
         for part in path.split("."):
             owner = getattr(owner, part, None)
         assert callable(owner), name
+
+
+def test_traced_functions_run_on_the_calling_thread(monkeypatch):
+    # the benchmark's tracer keeps one span stack, so only untraced kernels
+    # may run on the pool's workers
+    threads = {}
+
+    def record(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            threads.setdefault(name, set()).add(threading.get_ident())
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name, (module_name, path) in _bench_spans().TARGETS.items():
+        module = importlib.import_module(module_name)
+        owner_path, _, attr = path.rpartition(".")
+        owner = functools.reduce(getattr, filter(None, owner_path.split(".")), module)
+        original = getattr(owner, attr)
+        wrapper = record(name, original)
+        if owner is not module:
+            monkeypatch.setattr(owner, attr, wrapper)
+            continue
+        # every `from .x import f` copy in the package, as the tracer does
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name == "cevians" or mod_name.startswith("cevians."):
+                for key, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, key, wrapper)
+
+    monkeypatch.setattr(geometry, "_cores", lambda: 2)
+    monkeypatch.setattr(geometry, "_POOL", None)
+    try:
+        for suite in ("theorem1", "eq2", "segment_ratio"):
+            plan = harness.TrialPlan(suite, 6, 3 * geometry.SPLIT_MIN_ROWS + 100, seed=4)
+            assert harness.run_suite(plan, batch_size=3 * geometry.SPLIT_MIN_ROWS).passed
+        assert geometry._POOL is not None
+    finally:
+        if geometry._POOL is not None:
+            geometry._POOL.shutdown()
+    assert {"harness.run_suite", "harness.sample", "harness.stream_reset",
+            "harness.oracle", "harness.evaluate",
+            "geometry.max_edge_length"} <= set(threads)
+    assert all(ids == {threading.get_ident()} for ids in threads.values()), threads
