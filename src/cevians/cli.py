@@ -4,9 +4,12 @@ verification suites, run the optimizers, and audit the displayed bound.
 Exit codes: 0 success / suite passed, 1 suite violations, 2 usage error,
 3 domain error (non-interior input), 4 optimizer convergence failure.
 
-All output is deterministic given the flags (seeds included).  JSON output
-has sorted keys; JSON and CSV print numbers to 15 significant digits; the
-text format shows the same numbers with labels.
+All output is deterministic given the flags (seeds included) and goes
+through one emitter, ``_emit``, with one contract: JSON is the full payload
+with sorted keys; CSV has flat columns, with an empty cell for null; text
+shows ``key = value`` lines for one record, or an aligned table for several
+rows.  JSON and CSV print numbers to 15 significant digits, and text shows
+the same numbers.
 """
 from __future__ import annotations
 
@@ -30,42 +33,6 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_CONVERGENCE = 4
 
-_CONSTANTS_COLUMNS = [
-    "n",
-    "theta",
-    "theta_cf",
-    "theta_hyp",
-    "f_theta",
-    "log_f_theta",
-    "paper_eq3_value",
-    "metallic",
-    "metallic_cf",
-    "metallic_hyp",
-]
-
-_AUDIT_COLUMNS = [
-    "n",
-    "direct_f_theta",
-    "paper_eq3_value",
-    "ratio",
-    "direct_times_power",
-    "flagged",
-]
-
-_VERIFY_COLUMNS = [
-    "suite",
-    "n",
-    "trials",
-    "seed",
-    "tol",
-    "passed",
-    "worst_margin",
-    "max_ratio_observed",
-    "bound",
-    "violations",
-]
-
-
 def _fmt(value) -> str:
     """One number, 15 significant digits; non-floats pass through."""
     if isinstance(value, bool) or not isinstance(value, float):
@@ -88,27 +55,38 @@ def _round15(obj):
     return obj
 
 
-def _emit_json(payload, out) -> None:
-    json.dump(_round15(payload), out, sort_keys=True, indent=2, allow_nan=False)
-    out.write("\n")
+def _cell(value, fmt: str) -> str:
+    """One printed value: a list as [a, b], None as n/a in text and as an
+    empty cell in CSV."""
+    if value is None:
+        return "" if fmt == "csv" else "n/a"
+    if isinstance(value, list):
+        return "[" + ", ".join(_fmt(v) for v in value) + "]"
+    return _fmt(value)
 
 
-def _emit_csv(rows: list[dict], columns: list[str], out) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(row[col]) for col in columns])
-
-
-def _emit_table(rows: list[dict], columns: list[str], out) -> None:
-    cells = [[_fmt(row[col]) for col in columns] for row in rows]
-    widths = [
-        max(len(col), *(len(line[i]) for line in cells)) if cells else len(col)
-        for i, col in enumerate(columns)
-    ]
-    out.write("  ".join(col.ljust(w) for col, w in zip(columns, widths)).rstrip() + "\n")
-    for line in cells:
-        out.write("  ".join(val.ljust(w) for val, w in zip(line, widths)).rstrip() + "\n")
+def _emit(fmt: str, payload, rows: list[dict], columns: list[str], record=None, lines=()):
+    """Print one result on stdout: ``payload`` as JSON, ``rows`` over
+    ``columns`` as CSV, and as text ``record`` in ``key = value`` lines or,
+    without a record, ``rows`` as an aligned table, then the text ``lines``."""
+    out = sys.stdout
+    if fmt == "json":
+        json.dump(_round15(payload), out, sort_keys=True, indent=2, allow_nan=False)
+        out.write("\n")
+        return
+    if fmt == "text" and record is not None:
+        body = [f"{key} = {_cell(value, fmt)}" for key, value in record.items()]
+    else:
+        table = [columns] + [[_cell(row[col], fmt) for col in columns] for row in rows]
+        if fmt == "csv":
+            csv.writer(out, lineterminator="\n").writerows(table)
+            return
+        widths = [max(len(line[i]) for line in table) for i in range(len(columns))]
+        body = [
+            "  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
+            for line in table
+        ]
+    out.write("".join(line + "\n" for line in [*body, *lines]))
 
 
 def _parse_weights(text: str, n: int, parser: argparse.ArgumentParser) -> list[float]:
@@ -142,41 +120,16 @@ def _cmd_ratio(args, parser) -> int:
         "corner_ratios": corners,
         "cevian_ratio": breakdown.cevian_ratio,
         "theorem1_bound": breakdown.theorem1_bound,
-        "theorem2_value": breakdown.theorem2_value,
         "slack_theorem1": breakdown.theorem1_bound - breakdown.cevian_ratio,
+        "theorem2_value": breakdown.theorem2_value,
         "slack_theorem2": breakdown.theorem2_value - max(corners),
     }
-    if args.format == "json":
-        _emit_json(payload, sys.stdout)
-    elif args.format == "csv":
-        columns = [
-            "n",
-            "cevian_ratio",
-            "theorem1_bound",
-            "theorem2_value",
-            "slack_theorem1",
-            "slack_theorem2",
-        ] + [f"corner_ratio_{i}" for i in range(breakdown.n + 1)]
-        row = {key: payload[key] for key in columns[:6]}
-        row.update({f"corner_ratio_{i}": c for i, c in enumerate(corners)})
-        _emit_csv([row], columns, sys.stdout)
-    else:
-        for key in (
-            "n",
-            "weights",
-            "corner_ratios",
-            "cevian_ratio",
-            "theorem1_bound",
-            "slack_theorem1",
-            "theorem2_value",
-            "slack_theorem2",
-        ):
-            value = payload[key]
-            if isinstance(value, list):
-                value = "[" + ", ".join(_fmt(v) for v in value) + "]"
-            else:
-                value = _fmt(value)
-            print(f"{key} = {value}")
+    corner_columns = {f"corner_ratio_{i}": c for i, c in enumerate(corners)}
+    columns = [
+        "n", "cevian_ratio", "theorem1_bound", "theorem2_value",
+        "slack_theorem1", "slack_theorem2", *corner_columns,
+    ]
+    _emit(args.format, payload, [payload | corner_columns], columns, record=payload)
     return EXIT_PASS
 
 
@@ -187,12 +140,7 @@ def _cmd_constants(args, parser) -> int:
         vars(constants_row(n, args.depth))
         for n in range(args.n_min, args.n_max + 1)
     ]
-    if args.format == "json":
-        _emit_json(rows, sys.stdout)
-    elif args.format == "csv":
-        _emit_csv(rows, _CONSTANTS_COLUMNS, sys.stdout)
-    else:
-        _emit_table(rows, _CONSTANTS_COLUMNS, sys.stdout)
+    _emit(args.format, rows, rows, list(rows[0]))
     return EXIT_PASS
 
 
@@ -209,23 +157,13 @@ def _cmd_verify(args, parser) -> int:
         parser.error(str(exc))
     report = run_suite(plan, batch_size=args.batch_size)
     payload = report.to_dict()
-    if args.format == "json":
-        _emit_json(payload, sys.stdout)
-    elif args.format == "csv":
-        row = dict(payload)
-        row["violations"] = len(report.violations)
-        row["bound"] = "" if row["bound"] is None else row["bound"]
-        _emit_csv([row], _VERIFY_COLUMNS, sys.stdout)
-    else:
-        for key in _VERIFY_COLUMNS[:-1]:
-            print(f"{key} = {_fmt(payload[key]) if payload[key] is not None else 'n/a'}")
-        print(f"violations = {len(report.violations)}")
-        for v in report.violations[:20]:
-            print(
-                f"  trial {v.trial_index}  margin {_fmt(v.margin)}  "
-                f"digest {v.inputs_digest}"
-            )
-        print(f"elapsed_seconds = {report.elapsed:.3f}")
+    row = payload | {"violations": len(report.violations)}
+    lines = [
+        f"  trial {v.trial_index}  margin {_fmt(v.margin)}  digest {v.inputs_digest}"
+        for v in report.violations[:20]
+    ]
+    lines.append(f"elapsed_seconds = {report.elapsed:.3f}")
+    _emit(args.format, payload, [row], list(row), record=row, lines=lines)
     return EXIT_PASS if report.passed else EXIT_VIOLATIONS
 
 
@@ -273,18 +211,8 @@ def _cmd_optimize(args, parser) -> int:
         "converged_simplex": simplex.converged,
         "distinct_maxima": distinct,
     }
-    if args.format == "json":
-        _emit_json(payload, sys.stdout)
-    elif args.format == "csv":
-        columns = [c for c in payload if c != "argmax_weights"]
-        _emit_csv([payload], columns, sys.stdout)
-    else:
-        for key, value in payload.items():
-            if isinstance(value, list):
-                value = "[" + ", ".join(_fmt(v) for v in value) + "]"
-            else:
-                value = _fmt(value)
-            print(f"{key} = {value}")
+    columns = [c for c in payload if c != "argmax_weights"]
+    _emit(args.format, payload, [payload], columns, record=payload)
     return EXIT_PASS
 
 
@@ -302,18 +230,9 @@ def _cmd_audit_bounds(args, parser) -> int:
                 "flagged": abs(audit.ratio - 1.0) > 1e-9,
             }
         )
-    if args.format == "json":
-        _emit_json(rows, sys.stdout)
-    elif args.format == "csv":
-        _emit_csv(rows, _AUDIT_COLUMNS, sys.stdout)
-    else:
-        _emit_table(rows, _AUDIT_COLUMNS, sys.stdout)
-        flagged = [str(row["n"]) for row in rows if row["flagged"]]
-        if flagged:
-            print(
-                "flagged rows (displayed coefficient != direct value): n = "
-                + ", ".join(flagged)
-            )
+    flagged = ", ".join(str(row["n"]) for row in rows if row["flagged"])
+    note = f"flagged rows (displayed coefficient != direct value): n = {flagged}"
+    _emit(args.format, rows, rows, list(rows[0]), lines=[note] if flagged else [])
     return EXIT_PASS
 
 

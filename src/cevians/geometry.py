@@ -438,16 +438,22 @@ def det_cevian_ratios(batch: CevianBatch) -> np.ndarray:
     return np.abs(_det_ld(_edges(batch.feet)) / batch.base_det).astype(float)
 
 
+def _spans(feet: np.ndarray, apex: np.ndarray, corners):
+    """Edge matrices of the simplices spanned by ``apex`` (B, n) and every
+    foot but foot c, one (B, n, n) stack per c in ``corners``, made one at a
+    time from feet moved to the apex once."""
+    rel = feet - apex[:, None, :]
+    return (np.delete(rel, c, axis=1) for c in corners)
+
+
 def det_corner_ratios(batch: CevianBatch, corners=None) -> np.ndarray:
     """Volume(corner c) / Volume(base) by determinants; (B, len(corners)).
 
     Corner c is spanned by M and every foot but foot c; default: all n+1.
     """
     k = batch.weights.shape[1]
-    dets = [
-        _det_ld(batch.feet[:, np.arange(k) != c] - batch.point[:, None, :])
-        for c in (range(k) if corners is None else corners)
-    ]
+    spans = _spans(batch.feet, batch.point, range(k) if corners is None else corners)
+    dets = [_det_ld(span) for span in spans]
     return np.abs(np.stack(dets, axis=1) / batch.base_det[:, None]).astype(float)
 
 
@@ -456,8 +462,9 @@ def det_moebius_areas(batch: CevianBatch) -> MoebiusAreas:
     so the residual built from them inherits the oracle's accuracy."""
     feet, verts = batch.feet, batch.vertices
     p, q, r = (
-        np.abs(_det_ld(feet[:, np.arange(3) != i] - verts[:, i : i + 1])) / 2.0
+        np.abs(_det_ld(span)) / 2.0
         for i in range(3)
+        for span in _spans(feet, verts[:, i], [i])
     )
     return MoebiusAreas(
         p, q, r, x=np.abs(_det_ld(_edges(feet))) / 2.0, S=np.abs(batch.base_det) / 2.0

@@ -144,8 +144,13 @@ def _det_ratios(batch):
     )
 
 
+def _affine_map(amats, shifts, verts):
+    """Each row's vertices under its own map x -> A x + shift."""
+    return np.einsum("bij,bvj->bvi", amats, verts) + shifts[:, None, :]
+
+
 def _affine(batch, tol, bound, amats, shifts):
-    mapped = np.einsum("bij,bvj->bvi", amats, batch.vertices) + shifts[:, None, :]
+    mapped = _affine_map(amats, shifts, batch.vertices)
     before = _det_ratios(batch)
     after = _det_ratios(CevianBatch(mapped, batch.weights))
     observed = (np.abs(before - after) / np.maximum(before, after)).max(1)
@@ -408,7 +413,7 @@ def _draw_trial(stream: _TrialStream, suite: Suite, n: int, trials: np.ndarray):
         if suite.affine:
             amats = gen.uniform(-1.0, 1.0, (rows, n, n))
             shifts = gen.uniform(-1.0, 1.0, (rows, n))
-            mapped = np.einsum("bij,bvj->bvi", amats, verts) + shifts[:, None, :]
+            mapped = _affine_map(amats, shifts, verts)
             # a finite condition number of E A^T also means A is invertible
             ok &= oracle.is_well_conditioned(mapped, COND_DET)
             drawn += [amats, shifts]
@@ -417,7 +422,7 @@ def _draw_trial(stream: _TrialStream, suite: Suite, n: int, trials: np.ndarray):
             dest[done] = part[ok]
         accepted[done] = True
         pending = pending[~ok]
-    return accepted, [a[accepted] for a in out]
+    return accepted, out if accepted.all() else [a[accepted] for a in out]
 
 
 def _evaluate(

@@ -289,6 +289,68 @@ class TestFormatsAgree:
         # 15 significant digits in the printed forms
         assert len(text_value.replace(".", "").replace("-", "").lstrip("0")) >= 14
 
+    def test_text_and_csv_layouts(self, capsys):
+        def text_keys(out):
+            return [line.split(" = ")[0] for line in out.splitlines()]
+
+        ratio = ["ratio", "--n", "2", "--lambda", "0.4,0.35,0.25"]
+        _, text_out, _ = run_cli(capsys, *ratio, "--format", "text")
+        _, json_out, _ = run_cli(capsys, *ratio, "--format", "json")
+        _, csv_out, _ = run_cli(capsys, *ratio, "--format", "csv")
+        assert text_keys(text_out) == [
+            "n", "weights", "corner_ratios", "cevian_ratio", "theorem1_bound",
+            "slack_theorem1", "theorem2_value", "slack_theorem2",
+        ]
+        assert sorted(text_keys(text_out)) == list(json.loads(json_out))
+        assert csv_out.splitlines()[0] == (
+            "n,cevian_ratio,theorem1_bound,theorem2_value,slack_theorem1,"
+            "slack_theorem2,corner_ratio_0,corner_ratio_1,corner_ratio_2"
+        )
+
+        optimize = ["optimize", "--n", "2", "--restarts", "2", "--seed", "1"]
+        _, text_out, _ = run_cli(capsys, *optimize, "--format", "text")
+        _, json_out, _ = run_cli(capsys, *optimize, "--format", "json")
+        _, csv_out, _ = run_cli(capsys, *optimize, "--format", "csv")
+        columns = [
+            "n", "restarts", "seed", "theta", "theorem2_value", "argmax_x",
+            "value_1d", "iterations_1d", "deviation_1d", "converged_1d",
+            "argmax_weights", "value_simplex", "iterations_simplex",
+            "max_coordinate_deviation", "value_gap", "converged_simplex",
+            "distinct_maxima",
+        ]
+        assert text_keys(text_out) == columns
+        assert sorted(columns) == list(json.loads(json_out))
+        columns.remove("argmax_weights")
+        assert csv_out.splitlines()[0] == ",".join(columns)
+
+        # eq2 has no bound; at tol 1e-18 every one of the 50 trials violates
+        _, text_out, _ = run_cli(
+            capsys, "verify", "--suite", "eq2", "--n", "2", "--trials", "50",
+            "--seed", "1", "--tol", "1e-18", "--format", "text",
+        )
+        lines = text_out.splitlines()
+        assert "bound = n/a" in lines
+        assert "violations = 50" in lines
+        trial_lines = [line for line in lines if line.startswith("  trial ")]
+        assert len(trial_lines) == 20
+        assert lines[-1].startswith("elapsed_seconds = ")
+        assert lines[-21:-1] == trial_lines
+
+        _, text_out, _ = run_cli(
+            capsys, "constants", "--n-min", "4", "--n-max", "4", "--format", "text",
+        )
+        header, row = text_out.splitlines()
+        assert header.split() == [
+            "n", "theta", "theta_cf", "theta_hyp", "f_theta", "log_f_theta",
+            "paper_eq3_value", "metallic", "metallic_cf", "metallic_hyp",
+        ]
+        assert row.split()[0] == "4" and " = " not in text_out
+
+        _, text_out, _ = run_cli(capsys, "audit-bounds", "--n-max", "3")
+        assert text_out.splitlines()[-1] == (
+            "flagged rows (displayed coefficient != direct value): n = 2, 3"
+        )
+
     def test_reruns_are_identical(self, capsys):
         argv = [
             "verify", "--suite", "theorem2", "--n", "3",
