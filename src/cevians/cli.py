@@ -2,7 +2,8 @@
 verification suites, run the optimizers, and audit the displayed bound.
 
 Exit codes: 0 success / suite passed, 1 suite violations, 2 usage error,
-3 domain error (non-interior input), 4 optimizer convergence failure.
+3 domain error (non-interior input), 4 optimizer convergence failure,
+141 stdout closed by the reader (128 + SIGPIPE, as a shell reports it).
 
 All output is deterministic given the flags (seeds included) and goes
 through one emitter, ``_emit``, with one contract: JSON is the full payload
@@ -17,6 +18,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 
 from . import __version__
@@ -32,6 +34,7 @@ EXIT_VIOLATIONS = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_CONVERGENCE = 4
+EXIT_BROKEN_PIPE = 141
 
 def _fmt(value) -> str:
     """One number, 15 significant digits; non-floats pass through."""
@@ -168,14 +171,10 @@ def _cmd_verify(args, parser) -> int:
 
 
 def _cmd_optimize(args, parser) -> int:
+    tol = {} if args.tol is None else {"tol": args.tol}
     try:
-        one_dim = maximize_f_1d(args.n, tol=args.tol if args.tol else 1e-10)
-        simplex = maximize_F_simplex(
-            args.n,
-            restarts=args.restarts,
-            tol=args.tol if args.tol else 1e-9,
-            seed=args.seed,
-        )
+        one_dim = maximize_f_1d(args.n, **tol)
+        simplex = maximize_F_simplex(args.n, restarts=args.restarts, seed=args.seed, **tol)
     except ConvergenceError as exc:
         print(f"error: optimizer did not converge: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
@@ -340,7 +339,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, parser)
+    try:
+        code = args.func(args, parser)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to the null
+        # device, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -301,74 +301,41 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-class _Claims:
-    """The row blocks of one ``_row_blocks`` call, claimed one at a time by
-    the calling thread and by any pool worker that is free.
+def _row_blocks(kernel, rows: int, step: int) -> None:
+    """Run ``kernel(lo, hi)``, which writes its own results, over rows
+    0:rows in blocks of ``step`` rows.
 
-    ``kernel(lo, hi)`` writes the result of rows lo:hi itself.  The caller
-    waits only for blocks a worker claimed, then drops the kernel, so a
-    worker that comes late finds nothing to do and holds no reference to
-    the batch.  A kernel's exception is kept for the caller to raise.
+    A call of one block, or on one core, runs every block on the calling
+    thread.  Otherwise every block is offered to ``_pool()`` as a future.
+    Workers take offers from the first, and the caller from the last: it
+    runs each offer whose ``cancel()`` succeeds, since no worker started
+    it, and then waits only on the offers workers started.  Offers reach
+    the kernel through a box the caller empties before it returns, so a
+    cancelled offer still queued behind a busy worker holds no reference
+    to the batch.  The first exception, the caller's own or a worker's,
+    is raised once no worker runs the kernel.
     """
-
-    def __init__(self, kernel, bounds: list) -> None:
-        self._kernel = kernel
-        self._bounds = bounds
-        self._next = 0
-        self._in_workers = 0
-        self._error = None
-        self._cond = threading.Condition()
-
-    def work(self, worker: bool = True) -> None:
-        """Claim and run blocks until none is left; never raises.  The
-        first exception stops further claims."""
-        while True:
-            with self._cond:
-                if self._kernel is None or self._next == len(self._bounds) - 1:
-                    return
-                kernel, lo, hi = self._kernel, *self._bounds[self._next : self._next + 2]
-                self._next += 1
-                self._in_workers += worker
-            error = None
+    blocks = [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+    if len(blocks) < 2 or _cores() < 2:
+        for lo, hi in blocks:
+            kernel(lo, hi)
+        return
+    box = [kernel]
+    pool = _pool()
+    offers = [pool.submit(lambda lo, hi: box[0](lo, hi), *block) for block in blocks]
+    errors, started = [], []
+    for offer, (lo, hi) in zip(offers[::-1], blocks[::-1]):
+        if not offer.cancel():
+            started.append(offer)
+        elif not errors:
             try:
                 kernel(lo, hi)
-            except BaseException as exc:  # raised again by the caller
-                error = exc
-            kernel = None
-            with self._cond:
-                if error is not None and self._error is None:
-                    self._error, self._kernel = error, None
-                self._in_workers -= worker
-                self._cond.notify_all()
-
-    def finish(self) -> None:
-        """The caller's part: claim blocks, wait for the ones workers
-        claimed, drop the kernel, and raise the first exception."""
-        self.work(worker=False)
-        with self._cond:
-            self._kernel = None
-            self._cond.wait_for(lambda: not self._in_workers)
-            error, self._error = self._error, None
-        if error is not None:
-            raise error
-
-
-def _row_blocks(kernel, rows: int, step: int) -> None:
-    """Run ``kernel(lo, hi)`` over rows 0:rows in blocks of ``step`` rows.
-    A call of one block runs on the calling thread alone; otherwise up to
-    one worker per other core of ``_pool()`` helps (``_Claims``)."""
-    bounds = [*range(0, rows, step), rows]
-    if len(bounds) <= 2:
-        if rows:
-            kernel(0, rows)
-        return
-    claims = _Claims(kernel, bounds)
-    helpers = min(_cores(), len(bounds) - 1) - 1
-    if helpers > 0:
-        pool = _pool()
-        for _ in range(helpers):
-            pool.submit(claims.work)
-    claims.finish()
+            except BaseException as exc:  # raised once the workers are done
+                errors.append(exc)
+    errors += filter(None, [offer.exception() for offer in started])
+    box.clear()
+    if errors:
+        raise errors[0]
 
 
 _POOL = None

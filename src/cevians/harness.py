@@ -48,10 +48,11 @@ keeps the oracle's relative error far below the suite tolerances even for
 the very flat cevian simplices that near-boundary points produce (against
 exact rational determinants: below 1e-15 on the flattest of 400 sampled
 n=6 cevian simplices).  The Philox draws, the conditioning test and the
-determinants run over row blocks, which the calling thread and a thread
-pool with one worker per other core claim as each comes free
-(``geometry._row_blocks``); every row is computed alone, so reports do not
-depend on the blocks or on which thread ran them.
+determinants run over row blocks (``geometry._row_blocks``): each block is
+offered as a future to a thread pool with one worker per other core, and
+the calling thread runs every offer it can still cancel, from the last,
+while workers take them from the first.  Every row is computed alone, so
+reports do not depend on the blocks or on which thread ran them.
 """
 from __future__ import annotations
 

@@ -1,4 +1,5 @@
 """Samplers, trial substreams, and the verification suites."""
+import gc
 import json
 import math
 import os
@@ -6,7 +7,7 @@ import subprocess
 import sys
 import threading
 import weakref
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from fractions import Fraction
 
 import numpy as np
@@ -379,7 +380,7 @@ print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 
 
 class TestRowBlocks:
-    """Kernels shared with the pool while its only worker is held busy."""
+    """``_row_blocks`` with the pool's only worker held busy, and on one core."""
 
     def test_busy_worker_leaves_the_caller_all_blocks(self, monkeypatch):
         monkeypatch.setattr(geometry, "_cores", lambda: 2)
@@ -421,6 +422,94 @@ class TestRowBlocks:
         assert np.array_equal(dets, want_det)
         assert np.array_equal(ok, want_ok)
         assert np.array_equal(u, want_u)
+
+    def test_caller_error_waits_for_the_workers_block(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_cores", lambda: 2)
+        monkeypatch.setattr(geometry, "_POOL", None)
+        in_worker, raised, release = threading.Event(), threading.Event(), threading.Event()
+        ran = {"worker": [], "caller": []}
+
+        def kernel(lo, hi):
+            if threading.current_thread().name.startswith("cevians-rows"):
+                in_worker.set()
+                release.wait(60)
+                ran["worker"].append(lo)
+                return
+            ran["caller"].append(lo)
+            assert in_worker.wait(10)
+            raised.set()
+            raise ValueError("caller block")
+
+        try:
+            with ThreadPoolExecutor(1) as caller:
+                call = caller.submit(geometry._row_blocks, kernel, 4 * SPLIT_MIN_ROWS,
+                                     SPLIT_MIN_ROWS)
+                assert raised.wait(10)
+                # the error waits for the block the worker still runs
+                assert not wait([call], timeout=0.2).done
+                release.set()
+                with pytest.raises(ValueError, match="caller block"):
+                    call.result(timeout=60)
+            assert ran == {"worker": [0], "caller": [3 * SPLIT_MIN_ROWS]}
+        finally:
+            release.set()
+            geometry._POOL.shutdown()
+
+    def test_caller_error_leaves_queued_offers_without_the_batch(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_cores", lambda: 2)
+        monkeypatch.setattr(geometry, "_POOL", None)
+        rows = 3 * SPLIT_MIN_ROWS + 5
+
+        def call():
+            # a batch the caller alone refers to; its second block fails
+            batch = np.zeros(rows)
+
+            def kernel(lo, hi):
+                if lo == 2 * SPLIT_MIN_ROWS:
+                    raise ValueError("caller block")
+                batch[lo:hi] = 1.0
+
+            with pytest.raises(ValueError, match="caller block"):
+                geometry._row_blocks(kernel, rows, SPLIT_MIN_ROWS)
+            return weakref.ref(batch)
+
+        busy, release = threading.Event(), threading.Event()
+        pool = geometry._pool()
+        blocker = pool.submit(lambda: busy.set() or release.wait(60))
+        try:
+            assert busy.wait(10)
+            with ThreadPoolExecutor(1) as caller:
+                ref = caller.submit(call).result(timeout=60)
+            # the three cancelled offers are still queued behind the worker;
+            # collect the cycle through the error's traceback
+            assert not blocker.done()
+            gc.collect()
+            assert ref() is None
+        finally:
+            release.set()
+            blocker.result(timeout=10)
+            pool.shutdown()
+
+    def test_one_core_never_starts_the_pool(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_cores", lambda: 1)
+        monkeypatch.setattr(geometry, "_POOL", None)
+        rows = 2 * SPLIT_MIN_ROWS + 5
+        mats = _rng(33).uniform(-1, 1, (rows, 5, 5))
+        verts = _rng(34).uniform(-1, 1, (rows, 5, 4))
+        want_ok = np.concatenate([
+            geometry.is_well_conditioned(verts[i : i + 1000], COND_DET)
+            for i in range(0, rows, 1000)
+        ])
+        want_u = np.concatenate([
+            _TrialStream(3).for_trial(np.array([t]), 0).uniform(-1.0, 1.0, (1, 5, 4))
+            for t in range(rows)
+        ])
+        # three blocks of each kernel, all on the calling thread
+        assert np.array_equal(_det_ld(mats), reference_det_ld(mats))
+        assert np.array_equal(geometry.is_well_conditioned(verts, COND_DET), want_ok)
+        draws = _TrialStream(3).for_trial(np.arange(rows), 0)
+        assert np.array_equal(draws.uniform(-1.0, 1.0, (rows, 5, 4)), want_u)
+        assert geometry._POOL is None
 
 
 def _relative_errors(mats):
