@@ -27,7 +27,6 @@ from .errors import (
     DimensionMismatchError,
     NotInteriorError,
     OutOfDomainError,
-    SamplingError,
     UnsupportedDimensionError,
 )
 from .geometry import (
@@ -51,9 +50,7 @@ from .harness import (
     TrialPlan,
     VerificationReport,
     Violation,
-    random_simplex,
     run_suite,
-    sample_interior,
 )
 from .optimize import (
     F,

@@ -27,7 +27,3 @@ class OutOfDomainError(CevianError):
 
 class ConvergenceError(CevianError):
     """Iteration cap reached before the requested tolerance."""
-
-
-class SamplingError(CevianError):
-    """Rejection sampling exhausted its retry budget."""

@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable
@@ -66,8 +67,8 @@ import numpy as np
 
 from . import geometry as oracle
 from . import ratios as closed
-from .errors import DegenerateSimplexError, SamplingError, UnsupportedDimensionError
-from .geometry import BarycentricPoint, CartesianSimplex, CevianBatch
+from .errors import UnsupportedDimensionError
+from .geometry import CevianBatch
 from .geometry import _det_ld  # noqa: F401  (the benchmark traces it here)
 
 # Conditioning filter: condition-number floor for is_well_conditioned in
@@ -81,7 +82,7 @@ COND_WEIGHT = 1e-3
 DET_ROUTE_TOL = 1e-9
 # Collinearity slack for A_i, M, N_i, relative to the edge scale.
 COLLINEARITY_TOL = 1e-9
-# Retry budget for rejection sampling, per trial and per sampler call.
+# Redraw rounds per trial before it is reported as a sampling failure.
 MAX_REJECTIONS = 1000
 # Philox counters per row block of a draw.  Their uint64 words and
 # temporaries (about 1 MB) stay in a 2 MB L2: on a 2-core Xeon, a 4096-row
@@ -192,7 +193,9 @@ DEFAULT_TOLERANCES = {name: suite.tol for name, suite in SUITE_TABLE.items()}
 class TrialPlan:
     """What to run: suite, dimension, trial count, seed, and tolerance.
 
-    ``tol=None`` picks the suite default from DEFAULT_TOLERANCES.
+    ``tol=None`` picks the suite default from DEFAULT_TOLERANCES.  ``n``,
+    ``trials`` and ``seed`` must be integers (numpy ones are stored as int);
+    anything else raises TypeError.
     """
 
     suite: str
@@ -202,6 +205,8 @@ class TrialPlan:
     tol: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("n", "trials", "seed"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         suite = SUITE_TABLE.get(self.suite)
         if suite is None:
             raise ValueError(f"unknown suite {self.suite!r}; pick one of {SUITES}")
@@ -269,32 +274,6 @@ def _floored_weights(raw: np.ndarray, floor: float) -> np.ndarray:
     and without rejection: f + (1 - k f) E / sum(E) for k exponentials E."""
     k = raw.shape[-1]
     return floor + (1.0 - k * floor) * (raw / raw.sum(-1, keepdims=True))
-
-
-def sample_interior(n: int, rng: np.random.Generator) -> BarycentricPoint:
-    """Uniform sample from the open standard simplex in n+1 weights,
-    conditioned on every weight being at least EPS_BOUNDARY; a batch of one
-    over the suites' weight map."""
-    if n < 2:
-        raise UnsupportedDimensionError(f"need n >= 2, got {n}")
-    return BarycentricPoint(
-        _floored_weights(rng.standard_exponential(n + 1), oracle.EPS_BOUNDARY)
-    )
-
-
-def random_simplex(n: int, rng: np.random.Generator) -> CartesianSimplex:
-    """Random nondegenerate simplex with vertex coordinates uniform in [-1, 1].
-
-    Resamples until the degeneracy guard passes.
-    """
-    if n < 2:
-        raise UnsupportedDimensionError(f"need n >= 2, got {n}")
-    for _ in range(MAX_REJECTIONS):
-        try:
-            return CartesianSimplex(rng.uniform(-1.0, 1.0, size=(n + 1, n)))
-        except DegenerateSimplexError:
-            continue
-    raise SamplingError(f"no nondegenerate simplex in {MAX_REJECTIONS} draws")
 
 
 # Philox4x32-10 (Salmon et al., SC'11): round multipliers and Weyl key bumps.

@@ -11,8 +11,8 @@ Both maximizers here are numerical and independent of the closed form for
 theta_n, so agreement with constants.theta is a genuine cross-check.  Both
 search on the log of their objective and report scale-free residuals:
 
-* maximize_f_1d: golden-section search on log f, refined by bisection on
-  the sign of d log f/dx.
+* maximize_f_1d: bisection on the sign of d log f/dx over the whole
+  domain.
 * maximize_F_simplex: a seeded multi-start compass search (Kolda, Lewis
   and Torczon, SIAM Review 45(3), 2003) in free coordinates u with
   w = softmax([u, 0]); derivative-free on purpose, so it doubles as an
@@ -20,7 +20,6 @@ search on the log of their objective and report scale-free residuals:
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,8 +35,6 @@ MAX_ITERATIONS = 10_000
 DOMAIN_MARGIN = 1e-12
 # A converged result must have first-order residual at most this.
 GRADIENT_TOL = 1e-6
-
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def f(x: float, n: int) -> float:
@@ -80,9 +77,12 @@ class OptimizerResult:
     ``argmax`` is a scalar x for the 1-D problem and a BarycentricPoint for
     the simplex problem.  ``value`` is the objective re-evaluated at argmax.
     ``converged`` requires both the optimizer's own stopping criterion and a
-    first-order residual of at most GRADIENT_TOL.  ``restart_log`` records
-    (restart index, value, converged, iterations, argmax tuple) per start so
-    distinct converged points stay observable.
+    scale-free first-order residual of at most GRADIENT_TOL: the relative
+    Newton step |d log f/dx| / (x |d^2 log f/dx^2|) for the 1-D problem, the
+    largest central difference of log F in the free coordinates for the
+    simplex problem.  ``restart_log`` records (restart index, value,
+    converged, iterations, argmax tuple) per start so distinct converged
+    points stay observable.
     """
 
     argmax: object
@@ -97,20 +97,19 @@ class OptimizerResult:
 def maximize_f_1d(n: int, tol: float = 1e-10) -> OptimizerResult:
     """Locate the scalar maximizer of f on (0, 1/n) to within tol.
 
-    Golden-section search on log f (finite where f underflows, n >= 140)
-    first shrinks the bracket, then bisection on the sign of d log f/dx (an
-    exact sign signal: it crosses zero only at the maximum) polishes it to
-    width min(tol, 1e-12).  The residual is x |d log f/dx|.  Raises
-    ConvergenceError if the iteration cap lands first, which only happens
-    for tolerances below what float64 can represent.
+    Bisection on the sign of d log f/dx (an exact sign signal: it crosses
+    zero only at the maximum, and stays finite where f underflows) from the
+    whole domain [DOMAIN_MARGIN, 1/n - DOMAIN_MARGIN] to width
+    min(tol, 1e-12).  The residual is the Newton step relative to x,
+    |d log f/dx| / (x |d^2 log f/dx^2|), so it does not grow with the
+    curvature, which scales like n^3 at the maximizer.
+    Raises ConvergenceError if the iteration cap lands first, which only
+    happens for tolerances below what float64 can represent.
     """
     if n < 2:
         raise UnsupportedDimensionError(f"need n >= 2, got {n}")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-
-    def log_f(x: float) -> float:
-        return n * (math.log(x) - math.log1p(-x)) + math.log1p(-n * x)
 
     def dlog_f(x: float) -> float:
         return n / (x * (1.0 - x)) - n / (1.0 - n * x)
@@ -118,23 +117,7 @@ def maximize_f_1d(n: int, tol: float = 1e-10) -> OptimizerResult:
     lo = DOMAIN_MARGIN
     hi = 1.0 / n - DOMAIN_MARGIN
     iterations = 0
-
-    # Golden-section: maximize log f, keep a shrinking 4-point bracket.
-    c = hi - _INV_GOLDEN * (hi - lo)
-    d = lo + _INV_GOLDEN * (hi - lo)
-    fc, fd = log_f(c), log_f(d)
-    while hi - lo > 1e-6 / n and iterations < MAX_ITERATIONS:
-        iterations += 1
-        if fc < fd:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_GOLDEN * (hi - lo)
-            fd = log_f(d)
-        else:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_GOLDEN * (hi - lo)
-            fc = log_f(c)
-
-    # Bisection on sign(d log f/dx): > 0 left of the maximizer, < 0 right.
+    # d log f/dx > 0 left of the maximizer, < 0 right of it.
     target = min(tol, 1e-12)
     while hi - lo > target and iterations < MAX_ITERATIONS:
         iterations += 1
@@ -150,7 +133,9 @@ def maximize_f_1d(n: int, tol: float = 1e-10) -> OptimizerResult:
         )
 
     x = 0.5 * (lo + hi)
-    residual = x * abs(dlog_f(x))
+    # -d^2 log f/dx^2, positive on the whole domain since x < 1 - x
+    curvature = n / x**2 - n / (1.0 - x) ** 2 + n * n / (1.0 - n * x) ** 2
+    residual = abs(dlog_f(x)) / (x * curvature)
     return OptimizerResult(
         argmax=x,
         value=f(x, n),

@@ -14,6 +14,7 @@ import pytest
 
 import cevians as cv
 from cevians.cli import main as cli_main
+from cevians.harness import SUITE_TABLE, _draw_trial, _TrialStream
 
 from oracles import finite_difference_points
 
@@ -63,7 +64,11 @@ def test_criterion_03_cevian_volume_bound_at_scale():
             # equality at the centroid, closed form and determinant route
             centroid = np.full(n + 1, 1.0 / (n + 1))
             assert abs(cv.cevian_ratio(centroid) - cv.theorem1_bound(n)) <= 1e-12
-            simplex = cv.random_simplex(n, np.random.default_rng(n))
+            # the simplex of the plan's trial 0, from the suites' own stream
+            _, (verts, _) = _draw_trial(
+                _TrialStream(plan.seed), SUITE_TABLE["theorem1"], n, np.arange(1)
+            )
+            simplex = cv.CartesianSimplex(verts[0])
             cfg = cv.build_configuration(simplex, cv.BarycentricPoint(centroid))
             det_ratio = cv.simplex_volume(cfg.feet_cart) / cv.volume(simplex)
             assert abs(det_ratio - cv.theorem1_bound(n)) <= 1e-12

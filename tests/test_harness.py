@@ -14,22 +14,17 @@ import numpy as np
 import pytest
 
 from cevians import (
-    BarycentricPoint,
     SUITES,
     TrialPlan,
     UnsupportedDimensionError,
     cevian_ratio,
-    random_simplex,
     run_suite,
-    sample_interior,
     theorem1_bound,
     theorem2_value,
     theta,
-    volume,
 )
 from cevians import geometry
 from cevians.geometry import (
-    DELTA_DEGENERACY,
     SPLIT_MIN_ROWS,
     CevianBatch,
     _det_ld,
@@ -52,68 +47,6 @@ from oracles import cofactor_det, exact_det, reference_det_ld
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
-
-
-class TestSampleInterior:
-    def test_basic_contract(self):
-        rng = _rng(1)
-        for n in (2, 3, 6):
-            b = sample_interior(n, rng)
-            assert isinstance(b, BarycentricPoint)
-            assert b.weights.shape == (n + 1,)
-            assert abs(b.weights.sum() - 1.0) <= 1e-12
-            assert b.weights.min() > 0.0
-        with pytest.raises(UnsupportedDimensionError):
-            sample_interior(1, rng)
-
-    def test_mean_matches_flat_dirichlet(self):
-        # each weight has mean 1/(n+1); check within 3 standard errors
-        rng = _rng(2)
-        n, trials = 3, 40000
-        total = np.zeros(n + 1)
-        for _ in range(trials):
-            total += sample_interior(n, rng).weights
-        mean = total / trials
-        p = 1.0 / (n + 1)
-        se = math.sqrt(p * (1 - p) / (n + 2) / trials)
-        assert np.all(np.abs(mean - p) <= 3 * se)
-
-    def test_first_weight_marginal_is_beta(self):
-        # for n=2 the marginal CDF is 1 - (1-t)^2; Kolmogorov distance < 0.01
-        rng = _rng(3)
-        trials = 100000
-        xs = np.sort([sample_interior(2, rng).weights[0] for _ in range(trials)])
-        cdf = 1.0 - (1.0 - xs) ** 2
-        steps = np.arange(trials + 1) / trials
-        ks = max(
-            np.abs(cdf - steps[1:]).max(),
-            np.abs(cdf - steps[:-1]).max(),
-        )
-        assert ks < 0.01
-
-
-class TestRandomSimplex:
-    def test_always_nondegenerate(self):
-        rng = _rng(4)
-        for n in (2, 3, 5):
-            for _ in range(50):
-                s = random_simplex(n, rng)
-                assert volume(s) > 0.0
-                edges = s.vertices[:-1] - s.vertices[-1]
-                assert np.linalg.cond(edges, "fro") <= 1.0 / DELTA_DEGENERACY
-
-    def test_triangle_vertices_not_collinear(self):
-        rng = _rng(5)
-        for _ in range(100):
-            s = random_simplex(2, rng)
-            a, b, c = s.vertices
-            cross = (b - a)[0] * (c - a)[1] - (b - a)[1] * (c - a)[0]
-            assert abs(cross) > 0.0
-
-    def test_coordinates_in_unit_box(self):
-        rng = _rng(6)
-        s = random_simplex(4, rng)
-        assert np.all(np.abs(s.vertices) <= 1.0)
 
 
 class _RoundCounter(_TrialStream):
@@ -210,7 +143,7 @@ class TestTrialStream:
 
 
 class TestBatchedSampler:
-    """The distribution of ``_draw_trial`` output (mirrors TestSampleInterior)."""
+    """The distribution and conditioning of ``_draw_trial`` output."""
 
     @pytest.fixture(scope="class")
     def triangles(self):
@@ -259,6 +192,14 @@ class TestBatchedSampler:
             grid = np.concatenate([a, b])
             ks = np.abs(np.searchsorted(a, grid, "right") - np.searchsorted(b, grid, "right")).max()
             assert ks / count < 0.0195  # two-sample KS at alpha = 1e-3
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_accepted_simplices_meet_the_condition_floor(self, n):
+        counter = _RoundCounter(11)
+        ok, (verts, _) = _draw("theorem1", n, range(2000), stream=counter)
+        assert ok.all() and counter.rounds >= 2  # the filter rejected some rows
+        edges = verts[:, :-1] - verts[:, -1:]
+        assert np.all(np.linalg.cond(edges, "fro") <= (1 / COND_DET) * (1 + 1e-9))
 
     @pytest.mark.parametrize("suite", ["theorem1", "eq2"])
     def test_weights_finite_and_above_floor(self, suite):
@@ -322,10 +263,14 @@ class TestExtendedPrecisionDet:
 
     def test_worker_exception_reaches_caller(self, monkeypatch):
         kernel = geometry._lu_det
+        in_worker = threading.Event()
 
         def failing_off_caller(mats):
             if threading.current_thread() is not threading.main_thread():
+                in_worker.set()
                 raise FloatingPointError("worker slice")
+            # hold the caller's block until a pool worker has taken the other
+            assert in_worker.wait(10)
             return kernel(mats)
 
         monkeypatch.setattr(geometry, "_cores", lambda: 2)
@@ -560,6 +505,13 @@ class TestTrialPlan:
             TrialPlan(suite="theorem1", n=2, trials=10, seed=2**64)
         with pytest.raises(ValueError):
             TrialPlan(suite="theorem1", n=2, trials=10, seed=0, tol=0.0)
+        for bad in ({"n": 3.0}, {"trials": 10.0}, {"seed": 1.5}):
+            with pytest.raises(TypeError):
+                TrialPlan(**{"suite": "theorem1", "n": 3, "trials": 10, "seed": 1, **bad})
+        plan = TrialPlan("theorem1", np.int64(3), np.int32(10), seed=np.uint64(1))
+        assert (plan.n, plan.trials, plan.seed) == (3, 10, 1)
+        assert type(plan.seed) is int
+        assert run_suite(plan) == run_suite(TrialPlan("theorem1", 3, 10, seed=1))
 
 
 class TestSuites:

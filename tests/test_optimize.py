@@ -119,6 +119,14 @@ class TestScalarMaximizer:
         assert res.first_order_residual <= 1e-6
         assert res.iterations < 10_000
 
+    def test_converged_at_every_n(self):
+        # the curvature of log f grows like n^3; a residual scaled by it must
+        # still pass GRADIENT_TOL wherever the 1e-12 bracket resolves theta_n
+        for n in [*range(2, 2001), 10**4, 10**5, 10**6]:
+            res = maximize_f_1d(n)
+            assert res.converged, (n, res.first_order_residual)
+            assert abs(res.argmax - theta(n)) <= 1e-8, n
+
     def test_known_values(self):
         assert maximize_f_1d(2).argmax == pytest.approx(0.38196601, abs=1e-8)
         assert maximize_f_1d(3).argmax == pytest.approx(0.26794919, abs=1e-8)
