@@ -16,7 +16,7 @@ layout from numpy's per-trial Philox4x64 generator changed every drawn
 input once, so reports made before the switch differ draw for draw.
 
 A suite is one ``Suite`` record in ``SUITE_TABLE`` (default tolerance,
-weight floor, allowed n, bound, affine draws, per-batch check); ``SUITES``
+weight floor, allowed n, bound, second simplex, per-batch check); ``SUITES``
 and ``DEFAULT_TOLERANCES`` derive from it.  The checks:
 
 * ``theorem1``       cevian-simplex / base volume ratio (determinant and
@@ -32,11 +32,13 @@ and ``DEFAULT_TOLERANCES`` derive from it.  The checks:
 * ``segment_ratio``  distance ratios |M-N_i| / |M-A_i| match w_i/(1-w_i)
                      within relative ``tol``, and A_i, M, N_i are collinear
                      within COLLINEARITY_TOL of the edge scale;
-* ``affine``         determinant volume ratios are unchanged (relative
-                     ``tol``) under a random invertible affine map.
+* ``affine``         determinant volume ratios are equal (relative ``tol``)
+                     on two drawn simplices with the same weights: the
+                     unique invertible affine map between them carries one
+                     cevian configuration onto the other.
 
 Sampling keeps the oracle's rounding far below the tolerances: every
-simplex (and the affine suite's mapped one) must have an edge condition
+simplex, both of the affine suite's included, must have an edge condition
 number of at most 1/COND_DET (``is_well_conditioned``), and the weights
 are drawn without rejection from the flat Dirichlet conditioned on every
 weight being at least the suite's floor, which the relative-tolerance
@@ -90,7 +92,7 @@ MAX_REJECTIONS = 1000
 PHILOX_ROW_BLOCK = 16384
 
 
-# Checks: (batch, tol, bound, *affine map and shift) -> per-trial (margin,
+# Checks: (batch, tol, bound, *second simplex) -> per-trial (margin,
 # observed); margin > 0 is a violation, observed the headline quantity.
 
 
@@ -146,15 +148,9 @@ def _det_ratios(batch):
     )
 
 
-def _affine_map(amats, shifts, verts):
-    """Each row's vertices under its own map x -> A x + shift."""
-    return np.einsum("bij,bvj->bvi", amats, verts) + shifts[:, None, :]
-
-
-def _affine(batch, tol, bound, amats, shifts):
-    mapped = _affine_map(amats, shifts, batch.vertices)
+def _affine(batch, tol, bound, image):
     before = _det_ratios(batch)
-    after = _det_ratios(CevianBatch(mapped, batch.weights))
+    after = _det_ratios(CevianBatch(image, batch.weights))
     observed = (np.abs(before - after) / np.maximum(before, after)).max(1)
     return observed - tol, observed
 
@@ -220,8 +216,8 @@ class TrialPlan:
             raise ValueError("seed must be an unsigned 64-bit integer")
         if self.tol is None:
             object.__setattr__(self, "tol", suite.tol)
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -367,17 +363,18 @@ class _TrialStream:
 
 def _draw_trial(stream: _TrialStream, suite: Suite, n: int, trials: np.ndarray):
     """Accepted inputs of a batch of trials, drawn with the conditioning
-    filter: (accepted mask over ``trials``, [vertices, weights] plus [map,
-    shift] for an affine suite, rows of the accepted trials only).
+    filter: (accepted mask over ``trials``, [vertices, weights] plus the
+    second simplex's vertices for an affine suite, rows of the accepted
+    trials only).
 
     A round draws a whole candidate per pending trial (vertices, then the
-    exponentials, then the affine map and shift) and redraws the rejected
-    rows in the next round, so the accepted draw of a trial depends only on
-    its substream.  Trials still rejected after MAX_REJECTIONS rounds are
-    left unaccepted.
+    exponentials, then an affine suite's second vertices) and redraws the
+    rejected rows in the next round, so the accepted draw of a trial depends
+    only on its substream.  Trials still rejected after MAX_REJECTIONS
+    rounds are left unaccepted.
     """
     k = n + 1
-    shapes = [(k, n), (k,)] + ([(n, n), (n,)] if suite.affine else [])
+    shapes = [(k, n), (k,)] + ([(k, n)] if suite.affine else [])
     out = [np.zeros((len(trials), *shape)) for shape in shapes]
     accepted = np.zeros(len(trials), dtype=bool)
     pending = np.arange(len(trials))
@@ -391,12 +388,9 @@ def _draw_trial(stream: _TrialStream, suite: Suite, n: int, trials: np.ndarray):
         ok = oracle.is_well_conditioned(verts, COND_DET)
         drawn = [verts, wts]
         if suite.affine:
-            amats = gen.uniform(-1.0, 1.0, (rows, n, n))
-            shifts = gen.uniform(-1.0, 1.0, (rows, n))
-            mapped = _affine_map(amats, shifts, verts)
-            # a finite condition number of E A^T also means A is invertible
-            ok &= oracle.is_well_conditioned(mapped, COND_DET)
-            drawn += [amats, shifts]
+            image = gen.uniform(-1.0, 1.0, (rows, k, n))
+            ok &= oracle.is_well_conditioned(image, COND_DET)
+            drawn.append(image)
         done = pending[ok]
         for dest, part in zip(out, drawn):
             dest[done] = part[ok]
@@ -406,10 +400,10 @@ def _draw_trial(stream: _TrialStream, suite: Suite, n: int, trials: np.ndarray):
 
 
 def _evaluate(
-    suite: Suite, tol: float, bound: float | None, verts, wts, *maps
+    suite: Suite, tol: float, bound: float | None, verts, wts, *image
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial (margin, observed) for one batch: the suite's own check."""
-    return suite.check(CevianBatch(verts, wts), tol, bound, *maps)
+    return suite.check(CevianBatch(verts, wts), tol, bound, *image)
 
 
 def _digest(suite: str, seed: int, trial: int, *arrays: np.ndarray) -> str:

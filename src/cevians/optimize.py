@@ -12,7 +12,7 @@ theta_n, so agreement with constants.theta is a genuine cross-check.  Both
 search on the log of their objective and report scale-free residuals:
 
 * maximize_f_1d: bisection on the sign of d log f/dx over the whole
-  domain.
+  domain, to a relative width.
 * maximize_F_simplex: a seeded multi-start compass search (Kolda, Lewis
   and Torczon, SIAM Review 45(3), 2003) in free coordinates u with
   w = softmax([u, 0]); derivative-free on purpose, so it doubles as an
@@ -20,6 +20,7 @@ search on the log of their objective and report scale-free residuals:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,8 +32,6 @@ from .ratios import corner_ratio, corner_ratios
 
 # Iteration cap per optimizer start; a compass-search iteration is one poll.
 MAX_ITERATIONS = 10_000
-# Margin from the open-interval endpoints of the 1-D domain.
-DOMAIN_MARGIN = 1e-12
 # A converged result must have first-order residual at most this.
 GRADIENT_TOL = 1e-6
 
@@ -95,12 +94,13 @@ class OptimizerResult:
 
 
 def maximize_f_1d(n: int, tol: float = 1e-10) -> OptimizerResult:
-    """Locate the scalar maximizer of f on (0, 1/n) to within tol.
+    """Locate the scalar maximizer of f on (0, 1/n) to within relative tol.
 
     Bisection on the sign of d log f/dx (an exact sign signal: it crosses
     zero only at the maximum, and stays finite where f underflows) from the
-    whole domain [DOMAIN_MARGIN, 1/n - DOMAIN_MARGIN] to width
-    min(tol, 1e-12).  The residual is the Newton step relative to x,
+    bracket (0, 1/n), whose open ends are never evaluated, to a width of
+    min(tol, 1e-12) times its upper end, so theta_n ~ 1/n - 1/n^2 stays
+    inside at any n.  The residual is the Newton step relative to x,
     |d log f/dx| / (x |d^2 log f/dx^2|), so it does not grow with the
     curvature, which scales like n^3 at the maximizer.
     Raises ConvergenceError if the iteration cap lands first, which only
@@ -108,27 +108,26 @@ def maximize_f_1d(n: int, tol: float = 1e-10) -> OptimizerResult:
     """
     if n < 2:
         raise UnsupportedDimensionError(f"need n >= 2, got {n}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
 
     def dlog_f(x: float) -> float:
         return n / (x * (1.0 - x)) - n / (1.0 - n * x)
 
-    lo = DOMAIN_MARGIN
-    hi = 1.0 / n - DOMAIN_MARGIN
+    lo, hi = 0.0, 1.0 / n
     iterations = 0
     # d log f/dx > 0 left of the maximizer, < 0 right of it.
     target = min(tol, 1e-12)
-    while hi - lo > target and iterations < MAX_ITERATIONS:
+    while hi - lo > target * hi and iterations < MAX_ITERATIONS:
         iterations += 1
         mid = 0.5 * (lo + hi)
         if dlog_f(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-    if hi - lo > tol:
+    if hi - lo > tol * hi:
         raise ConvergenceError(
-            f"bracket width {hi - lo:.3e} above tol {tol:.3e} "
+            f"relative bracket width {(hi - lo) / hi:.3e} above tol {tol:.3e} "
             f"after {iterations} iterations"
         )
 
@@ -185,8 +184,8 @@ def maximize_F_simplex(
         raise UnsupportedDimensionError(f"need n >= 2, got {n}")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
 
     starts = _TrialStream(seed).for_trial(np.arange(restarts), 0)
     u = starts.uniform(-1.0, 1.0, (restarts, n))

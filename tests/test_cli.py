@@ -127,6 +127,14 @@ class TestVerify:
         assert payload["violations"] == []
         assert payload["max_ratio_observed"] <= 0.25
 
+    @pytest.mark.parametrize("tol", ["inf", "1e400", "nan", "0"])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, tol):
+        # an infinite tolerance would pass every suite
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "verify", "--suite", "eq2", "--n", "2",
+                    "--trials", "10", "--tol", tol)
+        assert exc.value.code == 2
+
     def test_moebius_wrong_dimension_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(
@@ -221,6 +229,13 @@ class TestOptimize:
         want = [0.267949, 0.267949, 0.267949, 0.196152]
         got = payload["argmax_weights"]
         assert all(abs(a - b) <= 1e-5 for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("tol", ["inf", "1e400"])
+    def test_infinite_tolerance_exit_2(self, capsys, tol):
+        # the compass search would stop before its first poll
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "optimize", "--n", "2", "--tol", tol)
+        assert exc.value.code == 2
 
     def test_underflow_exit_4(self, capsys):
         # F underflows at every start, so no restart converges

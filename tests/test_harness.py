@@ -122,20 +122,21 @@ class TestTrialStream:
                 assert np.array_equal(a[0], b[at]), trial
 
     def test_accepted_row_is_independent_of_the_batch(self):
-        # affine n=10 redraws often, so a batch mixes rows of different rounds
+        # affine n=40 redraws often (both simplices must pass the filter), so
+        # a batch mixes rows of different rounds
         rounds = {}
         for trial in range(60):
             counter = _RoundCounter(11)
-            _draw("affine", 10, [trial], stream=counter)
+            _draw("affine", 40, [trial], stream=counter)
             rounds[trial] = counter.rounds
         quick = min(rounds, key=rounds.get)
         slow = max(rounds, key=rounds.get)
         assert rounds[quick] == 1 and rounds[slow] >= 3
-        ok_all, whole = _draw("affine", 10, range(1000))
-        ok_pair, pair = _draw("affine", 10, [quick, slow])
+        ok_all, whole = _draw("affine", 40, range(1000))
+        ok_pair, pair = _draw("affine", 40, [quick, slow])
         assert ok_all.all() and ok_pair.all()
         for at, trial in enumerate((quick, slow)):
-            ok_one, alone = _draw("affine", 10, [trial])
+            ok_one, alone = _draw("affine", 40, [trial])
             assert ok_one.all()
             for a, b, c in zip(alone, whole, pair):
                 assert np.array_equal(a[0], b[trial])
@@ -198,8 +199,11 @@ class TestBatchedSampler:
         counter = _RoundCounter(11)
         ok, (verts, _) = _draw("theorem1", n, range(2000), stream=counter)
         assert ok.all() and counter.rounds >= 2  # the filter rejected some rows
-        edges = verts[:, :-1] - verts[:, -1:]
-        assert np.all(np.linalg.cond(edges, "fro") <= (1 / COND_DET) * (1 + 1e-9))
+        ok_affine, (base, _, image) = _draw("affine", n, range(2000))
+        assert ok_affine.all()
+        for simplices in (verts, base, image):
+            edges = simplices[:, :-1] - simplices[:, -1:]
+            assert np.all(np.linalg.cond(edges, "fro") <= (1 / COND_DET) * (1 + 1e-9))
 
     @pytest.mark.parametrize("suite", ["theorem1", "eq2"])
     def test_weights_finite_and_above_floor(self, suite):
@@ -503,8 +507,9 @@ class TestTrialPlan:
             TrialPlan(suite="theorem1", n=2, trials=10, seed=-1)
         with pytest.raises(ValueError):
             TrialPlan(suite="theorem1", n=2, trials=10, seed=2**64)
-        with pytest.raises(ValueError):
-            TrialPlan(suite="theorem1", n=2, trials=10, seed=0, tol=0.0)
+        for tol in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                TrialPlan(suite="theorem1", n=2, trials=10, seed=0, tol=tol)
         for bad in ({"n": 3.0}, {"trials": 10.0}, {"seed": 1.5}):
             with pytest.raises(TypeError):
                 TrialPlan(**{"suite": "theorem1", "n": 3, "trials": 10, "seed": 1, **bad})
@@ -590,12 +595,21 @@ class TestSuites:
             )
 
     def test_affine_reproducible_and_batch_invariant(self):
-        # affine redraws often, so batches mix rows of different rounds
-        plan = TrialPlan(suite="affine", n=3, trials=257, seed=77)
+        # at n=10 about one affine trial in ten is redrawn, so batches mix
+        # rows of different rounds
+        plan = TrialPlan(suite="affine", n=10, trials=257, seed=77)
+        counter = _RoundCounter(plan.seed)
+        _draw("affine", plan.n, range(plan.trials), stream=counter)
+        assert counter.rounds >= 3
         want = json.dumps(run_suite(plan).to_dict(), sort_keys=True)
         for batch in (1, 7, 64, 4096, 4096):
             got = run_suite(plan, batch_size=batch).to_dict()
             assert json.dumps(got, sort_keys=True) == want
+
+    def test_affine_samples_every_trial_at_n40(self):
+        # both simplices must pass the filter, and 42% of n=40 rounds do
+        report = run_suite(TrialPlan(suite="affine", n=40, trials=200, seed=1))
+        assert report.passed, report.violations[:3]
 
     def test_different_seeds_differ(self):
         a = run_suite(TrialPlan(suite="eq2", n=2, trials=50, seed=0))
@@ -615,7 +629,7 @@ class TestDeskScaleGuarantee:
     acceptance module; this covers the remaining suites of the guarantee.
     """
 
-    @pytest.mark.parametrize("suite", ["theorem2", "eq2", "segment_ratio"])
+    @pytest.mark.parametrize("suite", ["theorem2", "eq2", "segment_ratio", "affine"])
     def test_full_scale_pass(self, suite):
         for n in range(2, 7):
             plan = TrialPlan(suite=suite, n=n, trials=100_000, seed=4000 + n)

@@ -121,11 +121,12 @@ class TestScalarMaximizer:
 
     def test_converged_at_every_n(self):
         # the curvature of log f grows like n^3; a residual scaled by it must
-        # still pass GRADIENT_TOL wherever the 1e-12 bracket resolves theta_n
-        for n in [*range(2, 2001), 10**4, 10**5, 10**6]:
+        # still pass GRADIENT_TOL, and a bracket width relative to its upper
+        # end resolves theta_n ~ 1/n at every n
+        for n in [*range(2, 2001), 10**4, 10**5, 10**6, 10**7, 10**8, 10**9]:
             res = maximize_f_1d(n)
             assert res.converged, (n, res.first_order_residual)
-            assert abs(res.argmax - theta(n)) <= 1e-8, n
+            assert abs(res.argmax - theta(n)) <= 1e-10 * theta(n), n
 
     def test_known_values(self):
         assert maximize_f_1d(2).argmax == pytest.approx(0.38196601, abs=1e-8)
@@ -143,8 +144,9 @@ class TestScalarMaximizer:
     def test_validation(self):
         with pytest.raises(UnsupportedDimensionError):
             maximize_f_1d(1)
-        with pytest.raises(ValueError):
-            maximize_f_1d(2, tol=0.0)
+        for tol in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                maximize_f_1d(2, tol=tol)
 
 
 class TestSimplexMaximizer:
@@ -228,5 +230,6 @@ class TestSimplexMaximizer:
             maximize_F_simplex(1)
         with pytest.raises(ValueError):
             maximize_F_simplex(2, restarts=0)
-        with pytest.raises(ValueError):
-            maximize_F_simplex(2, tol=-1.0)
+        for tol in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                maximize_F_simplex(2, tol=tol)
