@@ -312,8 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
         + str({s: DEFAULT_TOLERANCES[s] for s in SUITES}),
     )
     p.add_argument("--batch-size", type=_positive_int, default=4096,
-                   help="trials per vectorized pass; sets speed and peak memory "
-                   "(theorem1, n=60, 4096: 855 MB), never results")
+                   help="trials per vectorized pass; sets speed (the oracle uses "
+                   "one core under 4096) and memory (theorem1, n=60, 4096: 855 MB), "
+                   "never results")
     add_format(p)
     p.set_defaults(func=_cmd_verify)
 

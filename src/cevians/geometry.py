@@ -39,13 +39,12 @@ EPS_BOUNDARY = 1e-9
 # at most 1 / DELTA_DEGENERACY.
 DELTA_DEGENERACY = 1e-9
 
-# Row block of the oracle's LU and of the conditioning test's kernel.  A
-# call of more than one block shares the blocks with the thread pool
-# (``_row_blocks``); a call of one block never starts it, so a 2048-trial
-# batch runs on the calling thread alone.  On a 2-core Xeon, 7x7 LU blocks
-# of 2048 rows ran 1.5x faster on two cores than one batch of 4096; 3x3
-# blocks of 1024 gained nothing, and a fresh process pays about 9 ms to
-# start the pool.
+# Row block of the oracle's LU and of the conditioning test's kernel.  Only
+# an LU call of more than one block shares them with the thread pool
+# (``_row_blocks``).  On a 2-core Xeon, 7x7 LU blocks of 2048 rows ran 1.5x
+# faster on two cores than one batch of 4096, and a fresh process pays 9 ms
+# to start the pool; a 4096-row n=6 conditioning test took 7.4 ms in blocks
+# against 9.9 ms at once, too short to pay a worker that may start 5 ms late.
 SPLIT_MIN_ROWS = 2048
 
 
@@ -85,20 +84,17 @@ def is_well_conditioned(vertices: np.ndarray, floor: float = DELTA_DEGENERACY):
     only polynomially with n on random simplices, where |det| decays like a
     volume.  The power-of-two rescale of ``_exponent`` keeps E and its
     inverse finite at any float64 scale.  Rows of SPLIT_MIN_ROWS simplices
-    go through ``_inverse_norm`` one block at a time.
+    go through ``_inverse_norm`` one block at a time, on the calling thread.
     """
     vertices = np.asarray(vertices, dtype=float)
     flat = vertices.reshape(-1, *vertices.shape[-2:])
     out = np.empty(len(flat), dtype=bool)
-
-    def block(lo, hi):
-        part = flat[lo:hi]
+    for lo in range(0, len(flat), SPLIT_MIN_ROWS):
+        part = flat[lo : lo + SPLIT_MIN_ROWS]
         edges = _edges(np.ldexp(part, -_exponent(part)[:, None, None]))
         with np.errstate(all="ignore"):
             kappa = np.sqrt((edges * edges).sum((-2, -1))) * _inverse_norm(edges)
-        out[lo:hi] = floor * kappa <= 1.0
-
-    _row_blocks(block, len(flat), SPLIT_MIN_ROWS)
+        out[lo : lo + SPLIT_MIN_ROWS] = floor * kappa <= 1.0
     return out.reshape(vertices.shape[:-2])
 
 

@@ -49,12 +49,12 @@ extended precision (80-bit on x86) by a batched pivoted-LU routine, which
 keeps the oracle's relative error far below the suite tolerances even for
 the very flat cevian simplices that near-boundary points produce (against
 exact rational determinants: below 1e-15 on the flattest of 400 sampled
-n=6 cevian simplices).  The Philox draws, the conditioning test and the
-determinants run over row blocks (``geometry._row_blocks``): each block is
-offered as a future to a thread pool with one worker per other core, and
-the calling thread runs every offer it can still cancel, from the last,
-while workers take them from the first.  Every row is computed alone, so
-reports do not depend on the blocks or on which thread ran them.
+n=6 cevian simplices).  The Philox draws and the conditioning test run over
+row blocks on the calling thread; the determinants' row blocks are offered
+as futures to a thread pool (``geometry._row_blocks``) with one worker per
+other core, and the calling thread runs every offer it can still cancel,
+from the last, while workers take the first.  Every row is computed alone,
+so reports do not depend on the blocks or on which thread ran them.
 """
 from __future__ import annotations
 
@@ -208,6 +208,9 @@ class TrialPlan:
             raise ValueError(f"unknown suite {self.suite!r}; pick one of {SUITES}")
         if self.n < 2:
             raise UnsupportedDimensionError(f"suites require n >= 2, got {self.n}")
+        if COND_DET * self.n > 1.0:  # the sampler would reject every simplex
+            raise ValueError(f"suites need n <= {1 / COND_DET:.0f}: kappa_F(E) >= n "
+                             "> 1/COND_DET for every edge matrix E")
         if suite.max_n is not None and self.n > suite.max_n:
             raise ValueError(f"the {suite.name} suite needs n <= {suite.max_n}")
         if self.trials < 1:
@@ -308,9 +311,9 @@ class _RoundDraws:
 
     Each call takes the next counter blocks of every row's substream,
     starting on a fresh block; a block gives two uniforms of 53 bits.  The
-    rows go through Philox in blocks of about PHILOX_ROW_BLOCK counters,
-    shared with the oracle's thread pool; counters are independent, so the
-    bits do not depend on the blocks.
+    rows go through Philox in blocks of about PHILOX_ROW_BLOCK counters, on
+    the calling thread; counters are independent, so the bits do not depend
+    on the blocks.
     """
 
     def __init__(self, key: tuple, trials: np.ndarray, attempt: int) -> None:
@@ -326,8 +329,9 @@ class _RoundDraws:
         index = np.arange(self._block, self._block + blocks, dtype=np.uint64)
         self._block += blocks
         out = np.empty((rows, count))
-
-        def unit(lo, hi):
+        step = max(1, PHILOX_ROW_BLOCK // blocks)
+        for lo in range(0, rows, step):
+            hi = min(lo + step, rows)
             w0, w1, w2, w3 = _philox4x32(
                 (index, self._attempt, self._low[lo:hi], self._high[lo:hi]), self._key
             )
@@ -337,8 +341,6 @@ class _RoundDraws:
                 word >>= 11
             bits = np.stack([w0, w2], axis=-1).reshape(hi - lo, 2 * blocks)
             np.multiply(bits[:, :count], 2.0**-53, out=out[lo:hi])
-
-        oracle._row_blocks(unit, rows, max(1, PHILOX_ROW_BLOCK // blocks))
         return out.reshape(size)
 
     def uniform(self, low: float, high: float, size: tuple) -> np.ndarray:
@@ -389,7 +391,7 @@ def _draw_trial(stream: _TrialStream, suite: Suite, n: int, trials: np.ndarray):
         drawn = [verts, wts]
         if suite.affine:
             image = gen.uniform(-1.0, 1.0, (rows, k, n))
-            ok &= oracle.is_well_conditioned(image, COND_DET)
+            ok[ok] = oracle.is_well_conditioned(image[ok], COND_DET)
             drawn.append(image)
         done = pending[ok]
         for dest, part in zip(out, drawn):

@@ -143,6 +143,14 @@ class TestVerify:
             )
         assert exc.value.code == 2
 
+    def test_dimension_past_the_conditioning_cap_exit_2(self, capsys):
+        # no simplex passes the sampler's filter past n = 1000
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "verify", "--suite", "theorem1", "--n", "1001",
+                    "--trials", "1")
+        assert exc.value.code == 2
+        assert "n <= 1000" in capsys.readouterr().err
+
     def test_json_is_strict_with_sampling_failures(self, capsys, monkeypatch):
         # a conditioning filter that rejects every row leaves every trial
         # unsampled; their infinite margins must print as strings, not as

@@ -193,6 +193,13 @@ class TestConditionKernel:
                 is_well_conditioned(vertices, floor),
             )
 
+    def test_empty_batch(self):
+        # the affine sampler tests its second simplices only on rows whose
+        # first passed, which may be none
+        for floor in (COND_DET, DELTA_DEGENERACY):
+            ok = is_well_conditioned(np.zeros((0, 5, 4)), floor)
+            assert ok.shape == (0,) and ok.dtype == bool
+
     def test_rows_holding_nan_or_inf(self):
         vertices = _rng(44).uniform(-1, 1, (8, 4, 3))
         vertices[0, 1, 2] = np.nan

@@ -329,31 +329,20 @@ print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 
 
 class TestRowBlocks:
-    """``_row_blocks`` with the pool's only worker held busy, and on one core."""
+    """``_row_blocks`` with the pool's only worker held busy, and on one core.
+    Its one user is ``_det_ld``; the sampler's kernels never start the pool."""
 
     def test_busy_worker_leaves_the_caller_all_blocks(self, monkeypatch):
         monkeypatch.setattr(geometry, "_cores", lambda: 2)
         monkeypatch.setattr(geometry, "_POOL", None)
         rows = 3 * SPLIT_MIN_ROWS + 5
         mats = _rng(30).uniform(-1, 1, (rows, 5, 5))
-        verts = _rng(31).uniform(-1, 1, (rows, 5, 4))
-        want_det = reference_det_ld(mats)
-        want_ok = np.concatenate([
-            geometry.is_well_conditioned(verts[i : i + 1000], COND_DET)
-            for i in range(0, rows, 1000)
-        ])
-        want_u = np.concatenate([
-            _TrialStream(3).for_trial(np.array([t]), 0).uniform(-1.0, 1.0, (1, 5, 4))
-            for t in range(rows)
-        ])
+        want = reference_det_ld(mats)
 
-        def calls():
-            # fresh batches the caller alone refers to
-            draws = _TrialStream(3).for_trial(np.arange(rows), 0)
-            batch = (mats.copy(), verts.copy(), draws)
-            got = (_det_ld(batch[0]), geometry.is_well_conditioned(batch[1], COND_DET),
-                   batch[2].uniform(-1.0, 1.0, (rows, 5, 4)))
-            return got, [weakref.ref(x) for x in batch]
+        def call():
+            # a fresh batch the caller alone refers to
+            batch = mats.copy()
+            return _det_ld(batch), weakref.ref(batch)
 
         busy, release = threading.Event(), threading.Event()
         pool = geometry._pool()
@@ -361,16 +350,14 @@ class TestRowBlocks:
         try:
             assert busy.wait(10)
             with ThreadPoolExecutor(1) as caller:
-                (dets, ok, u), refs = caller.submit(calls).result(timeout=60)
-            # the worker's queued claims are still pending here
-            assert all(ref() is None for ref in refs)
+                dets, ref = caller.submit(call).result(timeout=60)
+            # the worker's queued offers are still pending here
+            assert ref() is None
         finally:
             release.set()
             blocker.result(timeout=10)
             pool.shutdown()
-        assert np.array_equal(dets, want_det)
-        assert np.array_equal(ok, want_ok)
-        assert np.array_equal(u, want_u)
+        assert np.array_equal(dets, want)
 
     def test_caller_error_waits_for_the_workers_block(self, monkeypatch):
         monkeypatch.setattr(geometry, "_cores", lambda: 2)
@@ -442,23 +429,25 @@ class TestRowBlocks:
     def test_one_core_never_starts_the_pool(self, monkeypatch):
         monkeypatch.setattr(geometry, "_cores", lambda: 1)
         monkeypatch.setattr(geometry, "_POOL", None)
-        rows = 2 * SPLIT_MIN_ROWS + 5
-        mats = _rng(33).uniform(-1, 1, (rows, 5, 5))
-        verts = _rng(34).uniform(-1, 1, (rows, 5, 4))
-        want_ok = np.concatenate([
-            geometry.is_well_conditioned(verts[i : i + 1000], COND_DET)
-            for i in range(0, rows, 1000)
-        ])
-        want_u = np.concatenate([
-            _TrialStream(3).for_trial(np.array([t]), 0).uniform(-1.0, 1.0, (1, 5, 4))
-            for t in range(rows)
-        ])
-        # three blocks of each kernel, all on the calling thread
+        mats = _rng(33).uniform(-1, 1, (2 * SPLIT_MIN_ROWS + 5, 5, 5))
+        # three blocks, all on the calling thread
         assert np.array_equal(_det_ld(mats), reference_det_ld(mats))
-        assert np.array_equal(geometry.is_well_conditioned(verts, COND_DET), want_ok)
-        draws = _TrialStream(3).for_trial(np.arange(rows), 0)
-        assert np.array_equal(draws.uniform(-1.0, 1.0, (rows, 5, 4)), want_u)
         assert geometry._POOL is None
+
+    def test_sampler_never_starts_the_pool(self, monkeypatch):
+        # Philox and the conditioning test run their row blocks on the
+        # calling thread; only the oracle's LU hands blocks to the pool
+        monkeypatch.setattr(geometry, "_cores", lambda: 2)
+        monkeypatch.setattr(geometry, "_POOL", None)
+        try:
+            ok, _ = _draw("affine", 6, np.arange(3 * SPLIT_MIN_ROWS))
+            assert ok.all()
+            assert geometry._POOL is None
+            _det_ld(np.ones((2 * SPLIT_MIN_ROWS, 3, 3)))
+            assert geometry._POOL is not None
+        finally:
+            if geometry._POOL is not None:
+                geometry._POOL.shutdown()
 
 
 def _relative_errors(mats):
@@ -513,6 +502,11 @@ class TestTrialPlan:
         for bad in ({"n": 3.0}, {"trials": 10.0}, {"seed": 1.5}):
             with pytest.raises(TypeError):
                 TrialPlan(**{"suite": "theorem1", "n": 3, "trials": 10, "seed": 1, **bad})
+        # kappa_F >= n for every simplex, so no simplex passes the
+        # conditioning cap 1/COND_DET past n = 1000
+        with pytest.raises(ValueError, match="n <= 1000"):
+            TrialPlan(suite="theorem1", n=1001, trials=1, seed=0)
+        assert TrialPlan(suite="theorem1", n=1000, trials=1, seed=0).n == 1000
         plan = TrialPlan("theorem1", np.int64(3), np.int32(10), seed=np.uint64(1))
         assert (plan.n, plan.trials, plan.seed) == (3, 10, 1)
         assert type(plan.seed) is int
@@ -605,6 +599,23 @@ class TestSuites:
         for batch in (1, 7, 64, 4096, 4096):
             got = run_suite(plan, batch_size=batch).to_dict()
             assert json.dumps(got, sort_keys=True) == want
+
+    def test_reports_do_not_depend_on_the_core_count(self, monkeypatch):
+        # the first default batch of 4096 rows splits the oracle's LU into
+        # two blocks, which a second core shares through the pool
+        monkeypatch.setattr(geometry, "_POOL", None)
+        plans = [TrialPlan(suite, 2 if suite == "moebius" else 6,
+                           2 * SPLIT_MIN_ROWS + 100, seed=13) for suite in SUITES]
+        reports = {}
+        try:
+            for cores in (1, 2):
+                monkeypatch.setattr(geometry, "_cores", lambda: cores)
+                reports[cores] = [run_suite(plan).to_dict() for plan in plans]
+            assert geometry._POOL is not None
+        finally:
+            if geometry._POOL is not None:
+                geometry._POOL.shutdown()
+        assert reports[1] == reports[2]
 
     def test_affine_samples_every_trial_at_n40(self):
         # both simplices must pass the filter, and 42% of n=40 rounds do
