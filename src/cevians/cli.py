@@ -158,7 +158,7 @@ def _cmd_verify(args, parser) -> int:
         )
     except Exception as exc:
         parser.error(str(exc))
-    report = run_suite(plan, batch_size=args.batch_size)
+    report = run_suite(plan)
     payload = report.to_dict()
     row = payload | {"violations": len(report.violations)}
     lines = [
@@ -311,10 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the suite default tolerance "
         + str({s: DEFAULT_TOLERANCES[s] for s in SUITES}),
     )
-    p.add_argument("--batch-size", type=_positive_int, default=4096,
-                   help="trials per vectorized pass; sets speed (the oracle uses "
-                   "one core under 4096) and memory (theorem1, n=60, 4096: 855 MB), "
-                   "never results")
     add_format(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -39,13 +39,20 @@ EPS_BOUNDARY = 1e-9
 # at most 1 / DELTA_DEGENERACY.
 DELTA_DEGENERACY = 1e-9
 
-# Row block of the oracle's LU and of the conditioning test's kernel.  Only
-# an LU call of more than one block shares them with the thread pool
-# (``_row_blocks``).  On a 2-core Xeon, 7x7 LU blocks of 2048 rows ran 1.5x
-# faster on two cores than one batch of 4096, and a fresh process pays 9 ms
-# to start the pool; a 4096-row n=6 conditioning test took 7.4 ms in blocks
-# against 9.9 ms at once, too short to pay a worker that may start 5 ms late.
+# Row block of the oracle's LU and of the conditioning test's kernel: at
+# most SPLIT_MIN_ROWS m x m matrices and BLOCK_ENTRIES entries, so 2048 rows
+# up to m = 12.  Only an LU call of more than one block shares them with the
+# pool (``_row_blocks``).  On a 2-core Xeon, 6x6 LU blocks of 2048 rows ran
+# 1.5x faster on two cores than one batch of 4096, and a fresh process pays
+# 9 ms to start the pool; a 4096-row n=6 conditioning test took 7.4 ms in
+# blocks against 9.9 ms at once, too short to pay a worker that may start
+# 5 ms late.
 SPLIT_MIN_ROWS = 2048
+BLOCK_ENTRIES = SPLIT_MIN_ROWS * 12**2
+
+
+def _block_rows(m: int) -> int:
+    return max(1, min(SPLIT_MIN_ROWS, BLOCK_ENTRIES // (m * m or 1)))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -83,18 +90,19 @@ def is_well_conditioned(vertices: np.ndarray, floor: float = DELTA_DEGENERACY):
     The condition number is scale-free, infinite for a singular E, and grows
     only polynomially with n on random simplices, where |det| decays like a
     volume.  The power-of-two rescale of ``_exponent`` keeps E and its
-    inverse finite at any float64 scale.  Rows of SPLIT_MIN_ROWS simplices
-    go through ``_inverse_norm`` one block at a time, on the calling thread.
+    inverse finite at any float64 scale.  Simplices go through
+    ``_inverse_norm`` one ``_block_rows`` block at a time, on this thread.
     """
     vertices = np.asarray(vertices, dtype=float)
     flat = vertices.reshape(-1, *vertices.shape[-2:])
     out = np.empty(len(flat), dtype=bool)
-    for lo in range(0, len(flat), SPLIT_MIN_ROWS):
-        part = flat[lo : lo + SPLIT_MIN_ROWS]
+    step = _block_rows(flat.shape[-1])
+    for lo in range(0, len(flat), step):
+        part = flat[lo : lo + step]
         edges = _edges(np.ldexp(part, -_exponent(part)[:, None, None]))
         with np.errstate(all="ignore"):
             kappa = np.sqrt((edges * edges).sum((-2, -1))) * _inverse_norm(edges)
-        out[lo : lo + SPLIT_MIN_ROWS] = floor * kappa <= 1.0
+        out[lo : lo + step] = floor * kappa <= 1.0
     return out.reshape(vertices.shape[:-2])
 
 
@@ -213,15 +221,15 @@ def _det_ld(mats: np.ndarray) -> np.ndarray:
     """Batched determinants in extended precision via pivoted LU.
 
     mats: (B, m, m) in any float dtype; returns (B,) longdouble.  Each
-    determinant depends only on its own matrix, so results do not depend
-    on how ``_row_blocks`` shares the rows of SPLIT_MIN_ROWS blocks.
+    determinant depends only on its own matrix, so results do not depend on
+    the ``_block_rows(m)`` blocks or on the threads that ran them.
     """
     out = np.empty(mats.shape[0], dtype=np.longdouble)
 
     def block(lo, hi):
         out[lo:hi] = _lu_det(mats[lo:hi])
 
-    _row_blocks(block, mats.shape[0], SPLIT_MIN_ROWS)
+    _row_blocks(block, mats.shape[0], _block_rows(mats.shape[-1]))
     return out
 
 
@@ -376,8 +384,8 @@ def feet_weights(weights: np.ndarray) -> np.ndarray:
 class CevianBatch:
     """B cevian configurations: (B, n+1, n) vertices and (B, n+1) weights.
 
-    Cartesian feet and point and the base determinant are computed once, on
-    first use, and shared by every kernel that reads them.
+    Cartesian feet and point and the base and feet determinants are
+    computed once, on first use, and shared by every kernel that reads them.
     """
 
     vertices: np.ndarray
@@ -395,10 +403,14 @@ class CevianBatch:
     def base_det(self) -> np.ndarray:
         return _det_ld(_edges(self.vertices))
 
+    @cached_property
+    def feet_det(self) -> np.ndarray:
+        return _det_ld(_edges(self.feet))
+
 
 def det_cevian_ratios(batch: CevianBatch) -> np.ndarray:
     """Volume(N_0 ... N_n) / Volume(base) by determinants; (B,)."""
-    return np.abs(_det_ld(_edges(batch.feet)) / batch.base_det).astype(float)
+    return np.abs(batch.feet_det / batch.base_det).astype(float)
 
 
 def _spans(feet: np.ndarray, apex: np.ndarray, corners):
@@ -423,14 +435,13 @@ def det_corner_ratios(batch: CevianBatch, corners=None) -> np.ndarray:
 def det_moebius_areas(batch: CevianBatch) -> MoebiusAreas:
     """Moebius areas of B triangles, each field (B,) and kept in longdouble
     so the residual built from them inherits the oracle's accuracy."""
-    feet, verts = batch.feet, batch.vertices
     p, q, r = (
         np.abs(_det_ld(span)) / 2.0
         for i in range(3)
-        for span in _spans(feet, verts[:, i], [i])
+        for span in _spans(batch.feet, batch.vertices[:, i], [i])
     )
     return MoebiusAreas(
-        p, q, r, x=np.abs(_det_ld(_edges(feet))) / 2.0, S=np.abs(batch.base_det) / 2.0
+        p, q, r, x=np.abs(batch.feet_det) / 2.0, S=np.abs(batch.base_det) / 2.0
     )
 
 

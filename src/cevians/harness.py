@@ -11,9 +11,7 @@ the two 32-bit words of s, at counter (block, attempt, t & 0xffffffff,
 t >> 32).  A block gives two uniforms of 53 bits, ((w0 << 32 | w1) >> 11)
 * 2^-53; vertex coordinates are 2u - 1 and exponentials -log1p(-u).  The
 draws of a trial depend only on (s, t, attempt), so reports are
-byte-identical for any batch size or execution order.  Switching to this
-layout from numpy's per-trial Philox4x64 generator changed every drawn
-input once, so reports made before the switch differ draw for draw.
+byte-identical for any pass size or execution order.
 
 A suite is one ``Suite`` record in ``SUITE_TABLE`` (default tolerance,
 weight floor, allowed n, bound, second simplex, per-batch check); ``SUITES``
@@ -49,12 +47,9 @@ extended precision (80-bit on x86) by a batched pivoted-LU routine, which
 keeps the oracle's relative error far below the suite tolerances even for
 the very flat cevian simplices that near-boundary points produce (against
 exact rational determinants: below 1e-15 on the flattest of 400 sampled
-n=6 cevian simplices).  The Philox draws and the conditioning test run over
-row blocks on the calling thread; the determinants' row blocks are offered
-as futures to a thread pool (``geometry._row_blocks``) with one worker per
-other core, and the calling thread runs every offer it can still cancel,
-from the last, while workers take the first.  Every row is computed alone,
-so reports do not depend on the blocks or on which thread ran them.
+n=6 cevian simplices).  Passes of trials and the oracle's row blocks are sized
+from n, and every row is computed alone, so reports do not depend on either
+size or on which thread of ``geometry._row_blocks`` ran a row.
 """
 from __future__ import annotations
 
@@ -90,6 +85,17 @@ MAX_REJECTIONS = 1000
 # temporaries (about 1 MB) stay in a 2 MB L2: on a 2-core Xeon, a 4096-row
 # batch of n=6 vertices took 10 ms at once and 6 ms in 1024-row blocks.
 PHILOX_ROW_BLOCK = 16384
+# Trials per pass of run_suite: 4096, or fewer where their (trials, n+1, n)
+# float64 vertex array would pass PASS_BYTES (n >= 23).  A pass spans 2 of
+# the oracle's row blocks up to n = 12, and 7 or 8 from n = 22 to 300.  On a
+# 2-core Xeon, against a fixed 4096, eq2 n=30 ran 350 trials/s at 125 MB, not
+# 337 at 266 MB; theorem1 n=60 ran 249 at 119 MB, not 165 at 458 MB.  Halving
+# or doubling this or geometry.BLOCK_ENTRIES changed less than steal did.
+PASS_BYTES = 2**24
+
+
+def _pass_trials(n: int) -> int:
+    return min(4096, PASS_BYTES // (8 * (n + 1) * n))
 
 
 # Checks: (batch, tol, bound, *second simplex) -> per-trial (margin,
@@ -418,16 +424,13 @@ def _digest(suite: str, seed: int, trial: int, *arrays: np.ndarray) -> str:
     return h.hexdigest()[:16]
 
 
-def run_suite(plan: TrialPlan, batch_size: int = 4096) -> VerificationReport:
+def run_suite(plan: TrialPlan) -> VerificationReport:
     """Run every trial of the plan and aggregate the report.
 
-    ``batch_size`` only controls how many trials are evaluated per
-    vectorized pass; any value produces the identical report.  Sampling
-    failures are recorded as violations with infinite margin rather than
-    raised.
+    Trials are evaluated in vectorized passes of ``_pass_trials(n)``; any
+    pass size produces the identical report.  Sampling failures are
+    recorded as violations with infinite margin rather than raised.
     """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     start = time.perf_counter()
     suite = SUITE_TABLE[plan.suite]
     bound = None if suite.bound is None else suite.bound(plan.n)
@@ -437,8 +440,9 @@ def run_suite(plan: TrialPlan, batch_size: int = 4096) -> VerificationReport:
     worst = -math.inf
     observed_max = -math.inf
 
-    for chunk_start in range(0, plan.trials, batch_size):
-        chunk = np.arange(chunk_start, min(chunk_start + batch_size, plan.trials))
+    step = _pass_trials(plan.n)
+    for chunk_start in range(0, plan.trials, step):
+        chunk = np.arange(chunk_start, min(chunk_start + step, plan.trials))
         accepted, inputs = _draw_trial(stream, suite, plan.n, chunk)
         for trial in chunk[~accepted]:
             violations.append(Violation(int(trial), "sampling-failure", math.inf))

@@ -23,7 +23,7 @@ from cevians import (
     theorem2_value,
     theta,
 )
-from cevians import geometry
+from cevians import geometry, harness
 from cevians.geometry import (
     SPLIT_MIN_ROWS,
     CevianBatch,
@@ -33,6 +33,7 @@ from cevians.geometry import (
 from cevians.harness import (
     COND_DET,
     DEFAULT_TOLERANCES,
+    PASS_BYTES,
     PHILOX_ROW_BLOCK,
     SUITE_TABLE,
     _draw_trial,
@@ -426,6 +427,19 @@ class TestRowBlocks:
             blocker.result(timeout=10)
             pool.shutdown()
 
+    def test_large_matrices_split_below_the_row_cap(self, monkeypatch):
+        # 1024 30x30 matrices are one row block of the cap but several of the
+        # entry budget, so a second core takes part
+        monkeypatch.setattr(geometry, "_cores", lambda: 2)
+        monkeypatch.setattr(geometry, "_POOL", None)
+        mats = _rng(34).uniform(-1, 1, (1024, 30, 30))
+        try:
+            assert np.array_equal(_det_ld(mats), reference_det_ld(mats))
+            assert geometry._POOL is not None
+        finally:
+            if geometry._POOL is not None:
+                geometry._POOL.shutdown()
+
     def test_one_core_never_starts_the_pool(self, monkeypatch):
         monkeypatch.setattr(geometry, "_cores", lambda: 1)
         monkeypatch.setattr(geometry, "_POOL", None)
@@ -575,7 +589,7 @@ class TestSuites:
         }
         assert "elapsed" not in payload
 
-    def test_reproducible_and_batch_invariant(self):
+    def test_reproducible_and_batch_invariant(self, monkeypatch):
         plan = TrialPlan(suite="decomposition", n=3, trials=257, seed=77)
         a = run_suite(plan)
         b = run_suite(plan)
@@ -583,12 +597,13 @@ class TestSuites:
             b.to_dict(), sort_keys=True
         )
         for batch in (1, 7, 64, 10_000):
-            c = run_suite(plan, batch_size=batch)
+            monkeypatch.setattr(harness, "_pass_trials", lambda n: batch)
+            c = run_suite(plan)
             assert json.dumps(c.to_dict(), sort_keys=True) == json.dumps(
                 a.to_dict(), sort_keys=True
             )
 
-    def test_affine_reproducible_and_batch_invariant(self):
+    def test_affine_reproducible_and_batch_invariant(self, monkeypatch):
         # at n=10 about one affine trial in ten is redrawn, so batches mix
         # rows of different rounds
         plan = TrialPlan(suite="affine", n=10, trials=257, seed=77)
@@ -597,7 +612,8 @@ class TestSuites:
         assert counter.rounds >= 3
         want = json.dumps(run_suite(plan).to_dict(), sort_keys=True)
         for batch in (1, 7, 64, 4096, 4096):
-            got = run_suite(plan, batch_size=batch).to_dict()
+            monkeypatch.setattr(harness, "_pass_trials", lambda n: batch)
+            got = run_suite(plan).to_dict()
             assert json.dumps(got, sort_keys=True) == want
 
     def test_reports_do_not_depend_on_the_core_count(self, monkeypatch):
@@ -627,10 +643,19 @@ class TestSuites:
         b = run_suite(TrialPlan(suite="eq2", n=2, trials=50, seed=1))
         assert a.max_ratio_observed != b.max_ratio_observed
 
-    def test_batch_size_validation(self):
-        plan = TrialPlan(suite="theorem1", n=2, trials=10, seed=0)
-        with pytest.raises(ValueError):
-            run_suite(plan, batch_size=0)
+    def test_pass_sizes_at_the_gated_dimensions(self):
+        # the at-scale gates and the benchmark keep their schedule
+        for n in range(2, 7):
+            assert harness._pass_trials(n) == 4096
+            assert geometry._block_rows(n) == SPLIT_MIN_ROWS == 2048
+
+    def test_pass_fits_the_byte_budget_at_every_n(self):
+        # a fixed 4096 would need 4096 * 301 * 300 * 8 B, about 3 GB, for
+        # the vertices alone at n=300
+        for n in range(2, 1001):
+            trials = harness._pass_trials(n)
+            assert trials >= 1
+            assert trials * (n + 1) * n * 8 <= PASS_BYTES
 
 
 class TestDeskScaleGuarantee:

@@ -181,10 +181,11 @@ def test_traced_functions_run_on_the_calling_thread(monkeypatch):
 
     monkeypatch.setattr(geometry, "_cores", lambda: 2)
     monkeypatch.setattr(geometry, "_POOL", None)
+    monkeypatch.setattr(harness, "_pass_trials", lambda n: 3 * geometry.SPLIT_MIN_ROWS)
     try:
         for suite in ("theorem1", "eq2", "segment_ratio"):
             plan = harness.TrialPlan(suite, 6, 3 * geometry.SPLIT_MIN_ROWS + 100, seed=4)
-            assert harness.run_suite(plan, batch_size=3 * geometry.SPLIT_MIN_ROWS).passed
+            assert harness.run_suite(plan).passed
         assert geometry._POOL is not None
     finally:
         if geometry._POOL is not None:
