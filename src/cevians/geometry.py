@@ -39,14 +39,10 @@ EPS_BOUNDARY = 1e-9
 # at most 1 / DELTA_DEGENERACY.
 DELTA_DEGENERACY = 1e-9
 
-# Row block of the oracle's LU and of the conditioning test's kernel: at
-# most SPLIT_MIN_ROWS m x m matrices and BLOCK_ENTRIES entries, so 2048 rows
-# up to m = 12.  Only an LU call of more than one block shares them with the
-# pool (``_row_blocks``).  On a 2-core Xeon, 6x6 LU blocks of 2048 rows ran
-# 1.5x faster on two cores than one batch of 4096, and a fresh process pays
-# 9 ms to start the pool; a 4096-row n=6 conditioning test took 7.4 ms in
-# blocks against 9.9 ms at once, too short to pay a worker that may start
-# 5 ms late.
+# Row block of the oracle's LU: at most SPLIT_MIN_ROWS m x m matrices and
+# BLOCK_ENTRIES entries, so 2048 rows up to m = 12, shared with the pool
+# (``_row_blocks``) when a call has several.  On a 2-core Xeon, 6x6 blocks of
+# 2048 rows ran 1.5x faster on two cores than one batch of 4096.
 SPLIT_MIN_ROWS = 2048
 BLOCK_ENTRIES = SPLIT_MIN_ROWS * 12**2
 
@@ -90,20 +86,14 @@ def is_well_conditioned(vertices: np.ndarray, floor: float = DELTA_DEGENERACY):
     The condition number is scale-free, infinite for a singular E, and grows
     only polynomially with n on random simplices, where |det| decays like a
     volume.  The power-of-two rescale of ``_exponent`` keeps E and its
-    inverse finite at any float64 scale.  Simplices go through
-    ``_inverse_norm`` one ``_block_rows`` block at a time, on this thread.
+    inverse finite at any float64 scale.
     """
     vertices = np.asarray(vertices, dtype=float)
     flat = vertices.reshape(-1, *vertices.shape[-2:])
-    out = np.empty(len(flat), dtype=bool)
-    step = _block_rows(flat.shape[-1])
-    for lo in range(0, len(flat), step):
-        part = flat[lo : lo + step]
-        edges = _edges(np.ldexp(part, -_exponent(part)[:, None, None]))
-        with np.errstate(all="ignore"):
-            kappa = np.sqrt((edges * edges).sum((-2, -1))) * _inverse_norm(edges)
-        out[lo : lo + step] = floor * kappa <= 1.0
-    return out.reshape(vertices.shape[:-2])
+    edges = _edges(np.ldexp(flat, -_exponent(flat)[:, None, None]))
+    with np.errstate(all="ignore"):
+        kappa = np.sqrt((edges * edges).sum((-2, -1))) * _inverse_norm(edges)
+    return (floor * kappa <= 1.0).reshape(vertices.shape[:-2])
 
 
 @dataclass(frozen=True)

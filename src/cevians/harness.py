@@ -7,11 +7,11 @@ quantity from the batched kernels of ``geometry`` per trial, and records any
 discrepancy beyond the plan tolerance.  Trials are reproducible and
 schedule-independent: every random number of trial t in a run with seed s
 comes from the Philox4x32-10 block function (Salmon et al., SC'11) keyed by
-the two 32-bit words of s, at counter (block, attempt, t & 0xffffffff,
-t >> 32).  A block gives two uniforms of 53 bits, ((w0 << 32 | w1) >> 11)
-* 2^-53; vertex coordinates are 2u - 1 and exponentials -log1p(-u).  The
-draws of a trial depend only on (s, t, attempt), so reports are
-byte-identical for any pass size or execution order.
+the two 32-bit words of s, at counter (block low, block high, t low, t high).
+A block gives two uniforms ((w0 << 32 | w1) >> 11) * 2^-53, which become
+coordinates 2u - 1, exponentials -log1p(-u) and Box-Muller Gaussians.  The
+draws of a trial depend only on (s, t), so reports are byte-identical for
+any pass size or execution order.
 
 A suite is one ``Suite`` record in ``SUITE_TABLE`` (default tolerance,
 weight floor, allowed n, bound, second simplex, per-batch check); ``SUITES``
@@ -35,21 +35,18 @@ and ``DEFAULT_TOLERANCES`` derive from it.  The checks:
                      unique invertible affine map between them carries one
                      cevian configuration onto the other.
 
-Sampling keeps the oracle's rounding far below the tolerances: every
-simplex, both of the affine suite's included, must have an edge condition
-number of at most 1/COND_DET (``is_well_conditioned``), and the weights
-are drawn without rejection from the flat Dirichlet conditioned on every
-weight being at least the suite's floor, which the relative-tolerance
-suites raise to COND_WEIGHT.  A batch of trials is drawn and filtered as arrays; rejected
-rows are redrawn with the next attempt number, up to MAX_REJECTIONS rounds,
-and redraws do not count as trials.  Oracle determinants are evaluated in
-extended precision (80-bit on x86) by a batched pivoted-LU routine, which
-keeps the oracle's relative error far below the suite tolerances even for
-the very flat cevian simplices that near-boundary points produce (against
-exact rational determinants: below 1e-15 on the flattest of 400 sampled
-n=6 cevian simplices).  Passes of trials and the oracle's row blocks are sized
-from n, and every row is computed alone, so reports do not depend on either
-size or on which thread of ``geometry._row_blocks`` ran a row.
+Sampling keeps the oracle's rounding far below the tolerances.  A simplex
+has edges E = Q diag(sigma), Q random orthogonal, so kappa_F(E) <=
+KAPPA_MAX by construction (``_simplex``); weights are the flat Dirichlet
+conditioned on the suite's floor, COND_WEIGHT for relative tolerances.  Oracle
+determinants are evaluated in extended precision (80-bit on x86) by a
+batched pivoted-LU routine, which keeps the oracle's relative error far
+below the suite tolerances even for the very flat cevian simplices that
+near-boundary points produce (against exact rational determinants: below
+1e-15 on the flattest of 400 sampled n=6 cevian simplices).  Passes of
+trials and the oracle's row blocks are sized from n, and every row is
+computed alone, so reports do not depend on either size or on which thread
+of ``geometry._row_blocks`` ran a row.
 """
 from __future__ import annotations
 
@@ -68,19 +65,19 @@ from .errors import UnsupportedDimensionError
 from .geometry import CevianBatch
 from .geometry import _det_ld  # noqa: F401  (the benchmark traces it here)
 
-# Conditioning filter: condition-number floor for is_well_conditioned in
-# all suites, plus a weight floor for the relative-tolerance suites.  The
+# Conditioning: drawn simplices have kappa_F(E) <= KAPPA_MAX, 0.1% under
+# 1/COND_DET, which leaves is_well_conditioned's rounding far behind, and
+# the relative-tolerance suites floor the weights at COND_WEIGHT.  The
 # float64 inputs then keep the determinant routes' relative error near
 # 2^-53 / (COND_DET * COND_WEIGHT) = 1.1e-10, under 1e-9.
 COND_DET = 1e-3
 COND_WEIGHT = 1e-3
+KAPPA_MAX = 0.999 / COND_DET
 # Floor for determinant-route equality checks (the oracle itself cannot do
 # relative 1e-12 on flat sub-simplices).
 DET_ROUTE_TOL = 1e-9
 # Collinearity slack for A_i, M, N_i, relative to the edge scale.
 COLLINEARITY_TOL = 1e-9
-# Redraw rounds per trial before it is reported as a sampling failure.
-MAX_REJECTIONS = 1000
 # Philox counters per row block of a draw.  Their uint64 words and
 # temporaries (about 1 MB) stay in a 2 MB L2: on a 2-core Xeon, a 4096-row
 # batch of n=6 vertices took 10 ms at once and 6 ms in 1024-row blocks.
@@ -214,9 +211,7 @@ class TrialPlan:
             raise ValueError(f"unknown suite {self.suite!r}; pick one of {SUITES}")
         if self.n < 2:
             raise UnsupportedDimensionError(f"suites require n >= 2, got {self.n}")
-        if COND_DET * self.n > 1.0:  # the sampler would reject every simplex
-            raise ValueError(f"suites need n <= {1 / COND_DET:.0f}: kappa_F(E) >= n "
-                             "> 1/COND_DET for every edge matrix E")
+        _log_sigma_range(self.n)
         if suite.max_n is not None and self.n > suite.max_n:
             raise ValueError(f"the {suite.name} suite needs n <= {suite.max_n}")
         if self.trials < 1:
@@ -312,8 +307,8 @@ def _philox4x32(counter: tuple, key: tuple) -> tuple:
     return c0, c1, c2, c3
 
 
-class _RoundDraws:
-    """The draws of one redraw round for a set of trials, one row per trial.
+class _TrialDraws:
+    """The draws of a set of trials, one row per trial.
 
     Each call takes the next counter blocks of every row's substream,
     starting on a fresh block; a block gives two uniforms of 53 bits.  The
@@ -322,10 +317,9 @@ class _RoundDraws:
     on the blocks.
     """
 
-    def __init__(self, key: tuple, trials: np.ndarray, attempt: int) -> None:
+    def __init__(self, key: tuple, trials: np.ndarray) -> None:
         trials = trials.astype(np.uint64)[:, None]
         self._key = key
-        self._attempt = np.uint64(attempt)
         self._low, self._high = trials & _MASK32, trials >> 32
         self._block = 0
 
@@ -338,9 +332,8 @@ class _RoundDraws:
         step = max(1, PHILOX_ROW_BLOCK // blocks)
         for lo in range(0, rows, step):
             hi = min(lo + step, rows)
-            w0, w1, w2, w3 = _philox4x32(
-                (index, self._attempt, self._low[lo:hi], self._high[lo:hi]), self._key
-            )
+            counter = (index & _MASK32, index >> 32, self._low[lo:hi], self._high[lo:hi])
+            w0, w1, w2, w3 = _philox4x32(counter, self._key)
             for word, low in ((w0, w1), (w2, w3)):  # (word << 32 | low) >> 11
                 word <<= 32
                 word |= low
@@ -355,56 +348,77 @@ class _RoundDraws:
     def standard_exponential(self, size: tuple) -> np.ndarray:
         return -np.log1p(-self._unit(size))
 
+    def standard_normal(self, size: tuple) -> np.ndarray:
+        """Box-Muller pairs sqrt(-2 log(1 - u)) (cos, sin)(pi (2v - 1))."""
+        rows, count = size[0], math.prod(size[1:])
+        u, v = self._unit((rows, 2, (count + 1) // 2)).transpose(1, 0, 2)
+        radius, angle = np.sqrt(-2.0 * np.log1p(-u)), np.pi * (2.0 * v - 1.0)
+        pairs = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], 1)
+        return pairs[:, :count].reshape(size)
+
 
 class _TrialStream:
-    """Counter-based substreams of one seed: Philox4x32-10 with the seed's
-    two 32-bit words as key and counter (block, attempt, trial low word,
-    trial high word)."""
+    """Counter-based substreams of one seed: Philox4x32-10 keyed by the seed's
+    two 32-bit words at counter (block low, block high, trial low, trial high)."""
 
     def __init__(self, seed: int) -> None:
         self.key = (seed & _MASK32, seed >> 32)
 
-    def for_trial(self, trials: np.ndarray, attempt: int) -> _RoundDraws:
-        """The draws of redraw round ``attempt`` for the given trials."""
-        return _RoundDraws(self.key, trials, attempt)
+    def for_trial(self, trials: np.ndarray) -> _TrialDraws:
+        """The draws of the given trials."""
+        return _TrialDraws(self.key, trials)
+
+
+def _log_sigma_range(n: int) -> float:
+    """Range R of log sigma.  Over [c e^-R, c]^n, kappa_F(E)^2 = sum(sigma^2)
+    sum(sigma^-2) is convex in each sigma_i^2 and peaks with half the sigma
+    at each end, at n^2 + 4 (n // 2) (n - n // 2) sinh(R)^2 = KAPPA_MAX^2."""
+    room = KAPPA_MAX**2 - n * n
+    if room < 0.0:
+        raise ValueError(f"suites need n <= {KAPPA_MAX:.0f}: kappa_F(E) >= n")
+    return math.asinh(math.sqrt(room / (4 * (n * n // 4))))
+
+
+def _scaled_orthogonal(normals: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Q diag(sigma), (B, n, n), rows of Gram Q diag(sigma^2) Q^T, from B rows
+    of n(n+1)/2 - 1 Gaussians: Q = H_0 ... H_{n-2} D (Stewart, SIAM J. Numer.
+    Anal. 17(3), 1980), H_k maps its n - k Gaussians x onto e_k and D_kk =
+    -sign(x_0) (Mezzadri, Notices AMS 54(5), 2007); D's last sign would only
+    mirror the simplex.  Updates run in numpy's own loops, not BLAS, so a
+    row's bits depend on neither the batch nor the BLAS build."""
+    n = sigma.shape[1]
+    out = sigma[:, :, None] * np.eye(n)
+    for k in range(n - 2, -1, -1):  # H_k meets only the block at (k, k)
+        start = k * n - k * (k - 1) // 2
+        v = normals[:, start : start + n - k].copy()
+        out[:, k, k] *= -np.copysign(1.0, v[:, 0])
+        v[:, 0] += np.copysign(np.sqrt((v * v).sum(-1)), v[:, 0])
+        w = np.einsum("bij,bj->bi", out[:, k:, k:], v) * (2.0 / (v * v).sum(-1))[:, None]
+        out[:, k:, k:] -= np.einsum("bi,bj->bij", w, v)
+    return out.transpose(0, 2, 1)
+
+
+def _simplex(gen: _TrialDraws, rows: int, n: int) -> np.ndarray:
+    """(rows, n+1, n) vertices: apex + E_i for i < n, then the apex, uniform in
+    [-1, 1)^n.  log sigma = log(2 sqrt(n)) + R (clip(1.5 s, -1, 1) - 1) / 2, s
+    uniform in [-1, 1), puts a third of the sigma at the ends.  Sigma up to
+    the box's diagonal keeps the apex's rounding small: eq2 erred by 1.4e-11
+    at n = 100 (seed 1, 10 trials), by 2.3e-10 with sigma at most 1."""
+    apex, s = gen.uniform(-1.0, 1.0, (rows, 2, n)).transpose(1, 0, 2)
+    log_sigma = 0.5 * _log_sigma_range(n) * (np.clip(1.5 * s, -1.0, 1.0) - 1.0)
+    sigma = 2.0 * math.sqrt(n) * np.exp(log_sigma)
+    edges = _scaled_orthogonal(gen.standard_normal((rows, n * (n + 1) // 2 - 1)), sigma)
+    return np.concatenate([apex[:, None, :] + edges, apex[:, None, :]], 1)
 
 
 def _draw_trial(stream: _TrialStream, suite: Suite, n: int, trials: np.ndarray):
-    """Accepted inputs of a batch of trials, drawn with the conditioning
-    filter: (accepted mask over ``trials``, [vertices, weights] plus the
-    second simplex's vertices for an affine suite, rows of the accepted
-    trials only).
-
-    A round draws a whole candidate per pending trial (vertices, then the
-    exponentials, then an affine suite's second vertices) and redraws the
-    rejected rows in the next round, so the accepted draw of a trial depends
-    only on its substream.  Trials still rejected after MAX_REJECTIONS
-    rounds are left unaccepted.
-    """
-    k = n + 1
-    shapes = [(k, n), (k,)] + ([(k, n)] if suite.affine else [])
-    out = [np.zeros((len(trials), *shape)) for shape in shapes]
-    accepted = np.zeros(len(trials), dtype=bool)
-    pending = np.arange(len(trials))
-    for attempt in range(MAX_REJECTIONS):
-        if not pending.size:
-            break
-        gen = stream.for_trial(trials[pending], attempt)
-        rows = pending.size
-        verts = gen.uniform(-1.0, 1.0, (rows, k, n))
-        wts = _floored_weights(gen.standard_exponential((rows, k)), suite.weight_floor)
-        ok = oracle.is_well_conditioned(verts, COND_DET)
-        drawn = [verts, wts]
-        if suite.affine:
-            image = gen.uniform(-1.0, 1.0, (rows, k, n))
-            ok[ok] = oracle.is_well_conditioned(image[ok], COND_DET)
-            drawn.append(image)
-        done = pending[ok]
-        for dest, part in zip(out, drawn):
-            dest[done] = part[ok]
-        accepted[done] = True
-        pending = pending[~ok]
-    return accepted, out if accepted.all() else [a[accepted] for a in out]
+    """Inputs of a batch of trials, one row per trial: [vertices, weights]
+    plus the second simplex's vertices for an affine suite, drawn in that
+    order from each trial's substream."""
+    gen, rows = stream.for_trial(trials), len(trials)
+    verts = _simplex(gen, rows, n)
+    wts = _floored_weights(gen.standard_exponential((rows, n + 1)), suite.weight_floor)
+    return [verts, wts, _simplex(gen, rows, n)] if suite.affine else [verts, wts]
 
 
 def _evaluate(
@@ -428,8 +442,7 @@ def run_suite(plan: TrialPlan) -> VerificationReport:
     """Run every trial of the plan and aggregate the report.
 
     Trials are evaluated in vectorized passes of ``_pass_trials(n)``; any
-    pass size produces the identical report.  Sampling failures are
-    recorded as violations with infinite margin rather than raised.
+    pass size produces the identical report.
     """
     start = time.perf_counter()
     suite = SUITE_TABLE[plan.suite]
@@ -442,14 +455,8 @@ def run_suite(plan: TrialPlan) -> VerificationReport:
 
     step = _pass_trials(plan.n)
     for chunk_start in range(0, plan.trials, step):
-        chunk = np.arange(chunk_start, min(chunk_start + step, plan.trials))
-        accepted, inputs = _draw_trial(stream, suite, plan.n, chunk)
-        for trial in chunk[~accepted]:
-            violations.append(Violation(int(trial), "sampling-failure", math.inf))
-            worst = math.inf
-        trials = chunk[accepted]
-        if not trials.size:
-            continue
+        trials = np.arange(chunk_start, min(chunk_start + step, plan.trials))
+        inputs = _draw_trial(stream, suite, plan.n, trials)
         margins, observed = _evaluate(suite, plan.tol, bound, *inputs)
         worst = max(worst, float(margins.max()))
         observed_max = max(observed_max, float(observed.max()))
@@ -458,7 +465,6 @@ def run_suite(plan: TrialPlan) -> VerificationReport:
             digest = _digest(plan.suite, plan.seed, trial, *(a[pos] for a in inputs))
             violations.append(Violation(trial, digest, float(margins[pos])))
 
-    violations.sort(key=lambda v: v.trial_index)
     return VerificationReport(
         plan=plan,
         violations=tuple(violations),

@@ -187,7 +187,7 @@ def maximize_F_simplex(
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
 
-    starts = _TrialStream(seed).for_trial(np.arange(restarts), 0)
+    starts = _TrialStream(seed).for_trial(np.arange(restarts))
     u = starts.uniform(-1.0, 1.0, (restarts, n))
     value = _log_F(u)
     step = np.ones(restarts)

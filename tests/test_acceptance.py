@@ -66,7 +66,7 @@ def test_criterion_03_cevian_volume_bound_at_scale():
             centroid = np.full(n + 1, 1.0 / (n + 1))
             assert abs(cv.cevian_ratio(centroid) - cv.theorem1_bound(n)) <= 1e-12
             # the simplex of the plan's trial 0, from the suites' own stream
-            _, (verts, _) = _draw_trial(
+            verts, _ = _draw_trial(
                 _TrialStream(plan.seed), SUITE_TABLE["theorem1"], n, np.arange(1)
             )
             simplex = cv.CartesianSimplex(verts[0])

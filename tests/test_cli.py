@@ -1,5 +1,6 @@
 """Command-line interface: flags, formats, exit codes, schemas."""
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cevians import geometry
+from cevians import geometry, harness
 from cevians.cli import main
 
 
@@ -144,35 +145,49 @@ class TestVerify:
         assert exc.value.code == 2
 
     def test_dimension_past_the_conditioning_cap_exit_2(self, capsys):
-        # no simplex passes the sampler's filter past n = 1000
+        # the sampler's sigma law keeps kappa_F(E) <= 999, and kappa_F >= n
         with pytest.raises(SystemExit) as exc:
-            run_cli(capsys, "verify", "--suite", "theorem1", "--n", "1001",
+            run_cli(capsys, "verify", "--suite", "theorem1", "--n", "1000",
                     "--trials", "1")
         assert exc.value.code == 2
-        assert "n <= 1000" in capsys.readouterr().err
+        assert "n <= 999" in capsys.readouterr().err
 
-    def test_json_is_strict_with_sampling_failures(self, capsys, monkeypatch):
-        # a conditioning filter that rejects every row leaves every trial
-        # unsampled; their infinite margins must print as strings, not as
-        # bare Infinity
+    def test_json_is_strict_with_infinite_margins(self, capsys, monkeypatch):
+        # a check that overflows on some trials: their infinite margins and
+        # observations must print as strings, not as bare Infinity
         def no_constants(name):
             raise ValueError(f"non-standard JSON constant {name}")
 
-        monkeypatch.setattr(
-            geometry, "is_well_conditioned",
-            lambda vertices, floor: np.zeros(vertices.shape[:-2], dtype=bool),
-        )
+        def overflowing(batch, tol, bound):
+            out = np.where(np.arange(len(batch.weights)) % 3 == 0, np.inf, -1.0)
+            return out, out
+
+        suite = harness.SUITE_TABLE["theorem1"]
+        monkeypatch.setitem(harness.SUITE_TABLE, "theorem1",
+                            dataclasses.replace(suite, check=overflowing))
         argv = ["verify", "--suite", "theorem1", "--n", "10",
                 "--trials", "40", "--seed", "3"]
         code, out, _ = run_cli(capsys, *argv, "--format", "json")
         assert code == 1
         payload = json.loads(out, parse_constant=no_constants)
         assert payload["worst_margin"] == "inf"
-        failures = [v for v in payload["violations"]
-                    if v["inputs_digest"] == "sampling-failure"]
-        assert failures and all(v["margin"] == "inf" for v in failures)
+        assert payload["max_ratio_observed"] == "inf"
+        margins = [v["margin"] for v in payload["violations"]]
+        assert len(margins) == 14 and set(margins) == {"inf"}
         _, csv_out, _ = run_cli(capsys, *argv, "--format", "csv")
         assert next(csv.DictReader(io.StringIO(csv_out)))["worst_margin"] == "inf"
+
+    def test_n150_samples_every_trial(self, capsys):
+        # box-uniform vertices with a redraw filter sampled none of these
+        # in 76 s and exited 1
+        code, out, _ = run_cli(
+            capsys,
+            "verify", "--suite", "theorem1", "--n", "150",
+            "--trials", "3", "--seed", "1", "--format", "json",
+        )
+        assert code == 0
+        assert "sampling-failure" not in out
+        assert json.loads(out)["passed"] is True
 
     def test_n10_samples_every_trial(self, capsys):
         code, out, _ = run_cli(
@@ -394,15 +409,26 @@ def test_version(capsys):
     assert exc.value.code == 0
 
 
-def test_closed_stdout_exits_141_without_traceback():
-    # a reader that stops early, like `cevians constants ... | head -1`
+def _src_env():
     src = str(Path(geometry.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["constants", "--n-max", "3", "--format", "json"]
+    proc = subprocess.run([sys.executable, "-m", "cevians", *argv], env=_src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert (0, proc.stdout) == run_cli(capsys, *argv)[:2]
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # a reader that stops early, like `cevians constants ... | head -1`
     proc = subprocess.Popen(
         [sys.executable, "-m", "cevians.cli", "constants", "--n-max", "2000",
          "--format", "json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        env=dict(os.environ, PYTHONPATH=path),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env(),
     )
     assert proc.stdout.readline() == b"[\n"
     proc.stdout.close()

@@ -29,16 +29,20 @@ from cevians.geometry import (
     CevianBatch,
     _det_ld,
     _edges,
+    is_well_conditioned,
 )
 from cevians.harness import (
     COND_DET,
     DEFAULT_TOLERANCES,
+    KAPPA_MAX,
     PASS_BYTES,
     PHILOX_ROW_BLOCK,
     SUITE_TABLE,
     _draw_trial,
     _floored_weights,
+    _log_sigma_range,
     _philox4x32,
+    _scaled_orthogonal,
     _TrialStream,
 )
 from cevians.optimize import F
@@ -50,17 +54,12 @@ def _rng(seed=0):
     return np.random.default_rng(seed)
 
 
-class _RoundCounter(_TrialStream):
-    """A trial stream that records how many redraw rounds a draw took."""
-
-    def for_trial(self, trials, attempt):
-        self.rounds = attempt + 1
-        return super().for_trial(trials, attempt)
+def _draw(suite, n, trials, seed=11):
+    return _draw_trial(_TrialStream(seed), SUITE_TABLE[suite], n, np.asarray(trials))
 
 
-def _draw(suite, n, trials, seed=11, stream=None):
-    stream = _TrialStream(seed) if stream is None else stream
-    return _draw_trial(stream, SUITE_TABLE[suite], n, np.asarray(trials))
+def _kappa(vertices):
+    return np.linalg.cond(_edges(vertices), "fro")
 
 
 class TestTrialStream:
@@ -83,24 +82,35 @@ class TestTrialStream:
         assert " ".join(f"{int(w):08x}" for w in words) == want
 
     @staticmethod
-    def _uniforms(seed, trial, attempt, size=8):
-        gen = _TrialStream(seed).for_trial(np.array([trial]), attempt)
+    def _uniforms(seed, trial, size=8):
+        gen = _TrialStream(seed).for_trial(np.array([trial]))
         return gen.uniform(-1.0, 1.0, (1, size))[0]
 
     def test_same_key_and_counter_reproduce(self):
-        assert np.array_equal(self._uniforms(987, 5, 2), self._uniforms(987, 5, 2))
+        assert np.array_equal(self._uniforms(987, 5), self._uniforms(987, 5))
 
-    def test_trials_seeds_and_attempts_differ(self):
-        base = self._uniforms(7, 5, 0)
-        for other in (self._uniforms(7, 6, 0), self._uniforms(8, 5, 0),
-                      self._uniforms(7, 5, 1), self._uniforms(7, 2**32 + 5, 0)):
+    def test_trials_and_seeds_differ(self):
+        base = self._uniforms(7, 5)
+        for other in (self._uniforms(7, 6), self._uniforms(8, 5),
+                      self._uniforms(7, 2**32 + 5)):
             assert not np.array_equal(base, other)
+
+    def test_counter_is_block_then_trial_words(self):
+        # counter (block low, block high, trial low, trial high), key (seed
+        # low, seed high); a block gives the uniforms of words (0, 1), (2, 3)
+        seed, trial = 2**40 + 9, 2**33 + 7
+        u = _TrialStream(seed).for_trial(np.array([trial])).uniform(0.0, 1.0, (1, 4))[0]
+        for block in (0, 1):
+            counter = tuple(np.uint64(w) for w in (block, 0, 7, 2))
+            w0, w1, w2, w3 = (int(w) for w in _philox4x32(counter, (9, 2**8)))
+            want = [((hi << 32 | lo) >> 11) * 2.0**-53 for hi, lo in ((w0, w1), (w2, w3))]
+            assert list(u[2 * block : 2 * block + 2]) == want
 
     def test_largest_seed(self):
         seed = 2**64 - 1
-        u = self._uniforms(seed, 3, 0, size=1000)
+        u = self._uniforms(seed, 3, size=1000)
         assert np.all((-1.0 <= u) & (u < 1.0))
-        assert not np.array_equal(u, self._uniforms(seed - 1, 3, 0, size=1000))
+        assert not np.array_equal(u, self._uniforms(seed - 1, 3, size=1000))
         assert run_suite(TrialPlan(suite="theorem1", n=2, trials=20, seed=seed)).passed
 
     @pytest.mark.parametrize("n", [6, 30])
@@ -116,29 +126,19 @@ class TestTrialStream:
             return (gen.uniform(-1.0, 1.0, (count, n + 1, n)),
                     gen.standard_exponential((count, n + 1)))
 
-        whole = draws(_TrialStream(5).for_trial(trials, 2), rows)
+        whole = draws(_TrialStream(5).for_trial(trials), rows)
         for at, trial in enumerate(trials):
-            one = draws(_TrialStream(5).for_trial(trials[at : at + 1], 2), 1)
+            one = draws(_TrialStream(5).for_trial(trials[at : at + 1]), 1)
             for a, b in zip(one, whole):
                 assert np.array_equal(a[0], b[at]), trial
 
-    def test_accepted_row_is_independent_of_the_batch(self):
-        # affine n=40 redraws often (both simplices must pass the filter), so
-        # a batch mixes rows of different rounds
-        rounds = {}
-        for trial in range(60):
-            counter = _RoundCounter(11)
-            _draw("affine", 40, [trial], stream=counter)
-            rounds[trial] = counter.rounds
-        quick = min(rounds, key=rounds.get)
-        slow = max(rounds, key=rounds.get)
-        assert rounds[quick] == 1 and rounds[slow] >= 3
-        ok_all, whole = _draw("affine", 40, range(1000))
-        ok_pair, pair = _draw("affine", 40, [quick, slow])
-        assert ok_all.all() and ok_pair.all()
-        for at, trial in enumerate((quick, slow)):
-            ok_one, alone = _draw("affine", 40, [trial])
-            assert ok_one.all()
+    def test_row_is_independent_of_the_batch(self):
+        # one affine row at n=40 alone, in a pair, and in a batch of 1000:
+        # Philox, Box-Muller and the Householder products are all per row
+        whole = _draw("affine", 40, range(1000))
+        pair = _draw("affine", 40, [517, 3])
+        for at, trial in enumerate((517, 3)):
+            alone = _draw("affine", 40, [trial])
             for a, b, c in zip(alone, whole, pair):
                 assert np.array_equal(a[0], b[trial])
                 assert np.array_equal(a[0], c[at])
@@ -149,22 +149,65 @@ class TestBatchedSampler:
 
     @pytest.fixture(scope="class")
     def triangles(self):
-        ok, (verts, wts) = _draw("theorem1", 2, range(100_000), seed=3)
-        assert ok.all()
-        return verts, wts
+        return _draw("theorem1", 2, range(100_000), seed=3)
 
     def test_vertices_uniform_in_box(self, triangles):
-        coords = triangles[0].ravel()
+        # the apex, the last vertex, is uniform in [-1, 1)^n
+        coords = triangles[0][:, -1].ravel()
         assert coords.min() >= -1.0 and coords.max() < 1.0
         count = coords.size
         assert abs(coords.mean()) <= 3 * math.sqrt(1 / 3 / count)
         # Var(x^2) = 1/5 - 1/9 for x uniform on [-1, 1)
         assert abs((coords**2).mean() - 1 / 3) <= 3 * math.sqrt(4 / 45 / count)
 
+    @pytest.mark.parametrize("n", [2, 6, 30])
+    def test_edge_matrix_columns_are_orthogonal_with_norms_sigma(self, n):
+        # E = Q diag(sigma): E^T E = diag(sigma^2), so sigma are E's singular values
+        gen = _TrialStream(4).for_trial(np.arange(500))
+        normals = gen.standard_normal((500, n * (n + 1) // 2 - 1))
+        sigma = np.exp(gen.uniform(-3.0, 3.0, (500, n)))
+        edges = _scaled_orthogonal(normals, sigma)
+        gram = edges.transpose(0, 2, 1) @ edges
+        scale = sigma[:, :, None] * sigma[:, None, :]
+        assert np.all(np.abs(gram - scale * np.eye(n)) <= 1e-14 * n * scale)
+
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_edges_at_the_apex_are_not_at_right_angles(self, n):
+        # the simplices have any shape: diag(sigma) Q^T would put every
+        # pair of edges at the apex at 90 degrees (mean |cos| 0)
+        verts, _ = _draw("theorem1", n, range(4000))
+        gram = _edges(verts) @ _edges(verts).transpose(0, 2, 1)
+        norms = np.sqrt(np.einsum("bii->bi", gram))
+        cos = gram / norms[:, :, None] / norms[:, None, :]
+        pairs = np.triu_indices(n, 1)
+        assert np.abs(cos[:, pairs[0], pairs[1]]).mean() > 0.3
+
+    def test_drawn_edges_span_the_sigma_range(self):
+        # the largest singular value 2 sqrt(n), the least 2 sqrt(n) e^-R,
+        # and a third of each edge matrix's singular values at one end or
+        # the other
+        n = 5
+        verts, _ = _draw("theorem1", n, range(4000))
+        sigma = np.linalg.svd(_edges(verts), compute_uv=False) / (2 * math.sqrt(n))
+        low = math.exp(-_log_sigma_range(n))
+        assert np.all((low * (1 - 1e-12) <= sigma) & (sigma <= 1 + 1e-12))
+        at_ends = np.isclose(sigma, 1.0, rtol=1e-12) | np.isclose(sigma, low, rtol=1e-12)
+        assert abs(at_ends.mean() - 1 / 3) <= 4 * math.sqrt(2 / 9 / at_ends.size)
+
+    @pytest.mark.parametrize("n", [2, 4, 7])
+    def test_orthogonal_factor_rows_have_second_moment_one_over_n(self, n):
+        # for Haar Q, Q_ij^2 ~ Beta(1/2, (n-1)/2): mean 1/n, variance
+        # 3/(n(n+2)) - 1/n^2
+        count = 20_000
+        gen = _TrialStream(6).for_trial(np.arange(count))
+        normals = gen.standard_normal((count, n * (n + 1) // 2 - 1))
+        q = _scaled_orthogonal(normals, np.ones((count, n)))
+        se = math.sqrt((3 / (n * (n + 2)) - 1 / n**2) / count)
+        assert np.all(np.abs((q**2).mean(0) - 1 / n) <= 4 * se)
+
     def test_mean_matches_flat_dirichlet(self):
         n, trials = 3, 40000
-        ok, (_, wts) = _draw("theorem1", n, range(trials), seed=2)
-        assert ok.all()
+        _, wts = _draw("theorem1", n, range(trials), seed=2)
         p = 1.0 / (n + 1)
         se = math.sqrt(p * (1 - p) / (n + 2) / trials)
         assert np.all(np.abs(wts.mean(0) - p) <= 3 * se)
@@ -195,21 +238,41 @@ class TestBatchedSampler:
             ks = np.abs(np.searchsorted(a, grid, "right") - np.searchsorted(b, grid, "right")).max()
             assert ks / count < 0.0195  # two-sample KS at alpha = 1e-3
 
-    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 30, 100, 300])
     def test_accepted_simplices_meet_the_condition_floor(self, n):
-        counter = _RoundCounter(11)
-        ok, (verts, _) = _draw("theorem1", n, range(2000), stream=counter)
-        assert ok.all() and counter.rounds >= 2  # the filter rejected some rows
-        ok_affine, (base, _, image) = _draw("affine", n, range(2000))
-        assert ok_affine.all()
+        # every simplex the sampler hands out, both of affine's included
+        rows = 2000 if n <= 6 else 1500 // n
+        verts, _ = _draw("theorem1", n, range(rows))
+        base, _, image = _draw("affine", n, range(rows))
         for simplices in (verts, base, image):
-            edges = simplices[:, :-1] - simplices[:, -1:]
-            assert np.all(np.linalg.cond(edges, "fro") <= (1 / COND_DET) * (1 + 1e-9))
+            assert is_well_conditioned(simplices, COND_DET).all()
+            assert np.all(_kappa(simplices) <= KAPPA_MAX * (1 + 1e-9))
+
+    def test_largest_accepted_dimension_meets_the_condition_floor(self):
+        n = int(KAPPA_MAX)
+        TrialPlan(suite="theorem1", n=n, trials=1, seed=0)
+        with pytest.raises(ValueError):
+            TrialPlan(suite="theorem1", n=n + 1, trials=1, seed=0)
+        verts, _ = _draw("theorem1", n, [0])
+        assert is_well_conditioned(verts, COND_DET).all()
+
+    # the 99th percentiles of kappa_F(E) over 20 000 simplices of seed 1
+    # that the sampler accepted when it drew vertices uniform in [-1, 1)^n
+    # and redrew any simplex with kappa_F(E) > 1/COND_DET
+    BOX_P99 = {2: 184, 3: 366, 4: 442, 5: 543, 6: 644}
+
+    @pytest.mark.parametrize("n", sorted(BOX_P99))
+    def test_condition_numbers_reach_the_floor(self, n):
+        # the checks stay as hard as with box-uniform vertices: the law
+        # must not keep every simplex well inside the conditioning floor
+        kappa = _kappa(_draw("theorem1", n, range(20_000), seed=1)[0])
+        assert kappa.max() <= (1 / COND_DET) * (1 + 1e-9)
+        assert np.percentile(kappa, 99) >= self.BOX_P99[n]
+        assert kappa.max() >= 900
 
     @pytest.mark.parametrize("suite", ["theorem1", "eq2"])
     def test_weights_finite_and_above_floor(self, suite):
-        ok, (_, wts) = _draw(suite, 3, range(5000))
-        assert ok.all()
+        _, wts = _draw(suite, 3, range(5000))
         assert np.all(np.isfinite(wts))
         assert wts.min() >= SUITE_TABLE[suite].weight_floor
         assert np.allclose(wts.sum(1), 1.0, rtol=0, atol=1e-15)
@@ -449,13 +512,12 @@ class TestRowBlocks:
         assert geometry._POOL is None
 
     def test_sampler_never_starts_the_pool(self, monkeypatch):
-        # Philox and the conditioning test run their row blocks on the
-        # calling thread; only the oracle's LU hands blocks to the pool
+        # Philox and the Householder products run on the calling thread;
+        # only the oracle's LU hands blocks to the pool
         monkeypatch.setattr(geometry, "_cores", lambda: 2)
         monkeypatch.setattr(geometry, "_POOL", None)
         try:
-            ok, _ = _draw("affine", 6, np.arange(3 * SPLIT_MIN_ROWS))
-            assert ok.all()
+            _draw("affine", 6, np.arange(3 * SPLIT_MIN_ROWS))
             assert geometry._POOL is None
             _det_ld(np.ones((2 * SPLIT_MIN_ROWS, 3, 3)))
             assert geometry._POOL is not None
@@ -483,8 +545,7 @@ class TestOracleCalibration:
         assert worst <= 1e-16, (worst, np.finfo(np.longdouble))
 
     def test_flattest_cevian_simplices(self):
-        ok, (verts, wts) = _draw("theorem1", 6, range(400))
-        assert ok.all()
+        verts, wts = _draw("theorem1", 6, range(400))
         flattest = np.argsort(wts.min(1))[:40]
         batch = CevianBatch(verts[flattest], wts[flattest])
         worst = _relative_errors(_edges(batch.feet)).max()
@@ -516,11 +577,11 @@ class TestTrialPlan:
         for bad in ({"n": 3.0}, {"trials": 10.0}, {"seed": 1.5}):
             with pytest.raises(TypeError):
                 TrialPlan(**{"suite": "theorem1", "n": 3, "trials": 10, "seed": 1, **bad})
-        # kappa_F >= n for every simplex, so no simplex passes the
-        # conditioning cap 1/COND_DET past n = 1000
-        with pytest.raises(ValueError, match="n <= 1000"):
-            TrialPlan(suite="theorem1", n=1001, trials=1, seed=0)
-        assert TrialPlan(suite="theorem1", n=1000, trials=1, seed=0).n == 1000
+        # kappa_F >= n for every simplex, so the sampler's sigma law has no
+        # room past n = KAPPA_MAX = 999
+        with pytest.raises(ValueError, match="n <= 999"):
+            TrialPlan(suite="theorem1", n=1000, trials=1, seed=0)
+        assert TrialPlan(suite="theorem1", n=999, trials=1, seed=0).n == 999
         plan = TrialPlan("theorem1", np.int64(3), np.int32(10), seed=np.uint64(1))
         assert (plan.n, plan.trials, plan.seed) == (3, 10, 1)
         assert type(plan.seed) is int
@@ -604,12 +665,7 @@ class TestSuites:
             )
 
     def test_affine_reproducible_and_batch_invariant(self, monkeypatch):
-        # at n=10 about one affine trial in ten is redrawn, so batches mix
-        # rows of different rounds
         plan = TrialPlan(suite="affine", n=10, trials=257, seed=77)
-        counter = _RoundCounter(plan.seed)
-        _draw("affine", plan.n, range(plan.trials), stream=counter)
-        assert counter.rounds >= 3
         want = json.dumps(run_suite(plan).to_dict(), sort_keys=True)
         for batch in (1, 7, 64, 4096, 4096):
             monkeypatch.setattr(harness, "_pass_trials", lambda n: batch)
@@ -634,9 +690,15 @@ class TestSuites:
         assert reports[1] == reports[2]
 
     def test_affine_samples_every_trial_at_n40(self):
-        # both simplices must pass the filter, and 42% of n=40 rounds do
         report = run_suite(TrialPlan(suite="affine", n=40, trials=200, seed=1))
         assert report.passed, report.violations[:3]
+
+    @pytest.mark.parametrize("suite", ["theorem1", "eq2", "affine"])
+    def test_suites_pass_at_n100(self, suite):
+        # box-uniform vertices with a redraw filter passed 0.5% of simplices
+        # here and none at n=150
+        report = run_suite(TrialPlan(suite=suite, n=100, trials=3, seed=1))
+        assert report.passed, report.violations
 
     def test_different_seeds_differ(self):
         a = run_suite(TrialPlan(suite="eq2", n=2, trials=50, seed=0))
