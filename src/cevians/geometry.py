@@ -16,8 +16,6 @@ the suites compare the two, so they must stay independent.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,9 +38,10 @@ EPS_BOUNDARY = 1e-9
 DELTA_DEGENERACY = 1e-9
 
 # Row block of the oracle's LU: at most SPLIT_MIN_ROWS m x m matrices and
-# BLOCK_ENTRIES entries, so 2048 rows up to m = 12, shared with the pool
-# (``_row_blocks``) when a call has several.  On a 2-core Xeon, 6x6 blocks of
-# 2048 rows ran 1.5x faster on two cores than one batch of 4096.
+# BLOCK_ENTRIES entries, so 2048 rows up to m = 12.  The blocks bound the
+# LU's longdouble copy, 4.7 MB against 118 MB for 2048 60x60 matrices, and
+# keep it nearer the cache: on one core, 4096 30x30 matrices took 0.66-0.72 s
+# in blocks against 0.79-0.95 s at once.
 SPLIT_MIN_ROWS = 2048
 BLOCK_ENTRIES = SPLIT_MIN_ROWS * 12**2
 
@@ -81,9 +80,10 @@ def _exponent(vertices: np.ndarray) -> np.ndarray:
 
 def is_well_conditioned(vertices: np.ndarray, floor: float = DELTA_DEGENERACY):
     """The conditioning test: floor * ||E||_F ||E^-1||_F <= 1 for the edge
-    matrix E; finite (..., n+1, n) vertices -> (...).
+    matrix E; (..., n+1, n) vertices -> (...).
 
-    The condition number is scale-free, infinite for a singular E, and grows
+    The condition number is scale-free, infinite for a singular E and NaN,
+    so never well conditioned, for vertices holding NaN or inf.  It grows
     only polynomially with n on random simplices, where |det| decays like a
     volume.  The power-of-two rescale of ``_exponent`` keeps E and its
     inverse finite at any float64 scale.
@@ -91,8 +91,7 @@ def is_well_conditioned(vertices: np.ndarray, floor: float = DELTA_DEGENERACY):
     vertices = np.asarray(vertices, dtype=float)
     flat = vertices.reshape(-1, *vertices.shape[-2:])
     edges = _edges(np.ldexp(flat, -_exponent(flat)[:, None, None]))
-    with np.errstate(all="ignore"):
-        kappa = np.sqrt((edges * edges).sum((-2, -1))) * _inverse_norm(edges)
+    kappa = np.linalg.cond(edges, "fro")
     return (floor * kappa <= 1.0).reshape(vertices.shape[:-2])
 
 
@@ -183,7 +182,7 @@ class CevianConfiguration:
 
 @dataclass(frozen=True)
 class MoebiusAreas:
-    """The four areas cut from a triangle by three concurrent cevians.
+    """The four areas cut from a triangle by three cevians through one point.
 
     p, q, r are the corner triangles (vertex i together with the two feet
     on its adjacent sides), x the inner cevian triangle, S the base
@@ -212,14 +211,13 @@ def _det_ld(mats: np.ndarray) -> np.ndarray:
 
     mats: (B, m, m) in any float dtype; returns (B,) longdouble.  Each
     determinant depends only on its own matrix, so results do not depend on
-    the ``_block_rows(m)`` blocks or on the threads that ran them.
+    the ``_block_rows(m)`` blocks the LU runs over.
     """
-    out = np.empty(mats.shape[0], dtype=np.longdouble)
-
-    def block(lo, hi):
-        out[lo:hi] = _lu_det(mats[lo:hi])
-
-    _row_blocks(block, mats.shape[0], _block_rows(mats.shape[-1]))
+    rows = mats.shape[0]
+    out = np.empty(rows, dtype=np.longdouble)
+    step = _block_rows(mats.shape[-1])
+    for lo in range(0, rows, step):
+        out[lo : lo + step] = _lu_det(mats[lo : lo + step])
     return out
 
 
@@ -258,104 +256,6 @@ def _lu_det(mats: np.ndarray) -> np.ndarray:
         factors = a[col + 1 :, col] / np.where(pivots == 0.0, 1.0, pivots)
         a[col + 1 :, col + 1 :] -= factors[:, None] * a[col, col + 1 :]
     return det
-
-
-def _inverse_norm(mats: np.ndarray) -> np.ndarray:
-    """||A^-1||_F of each float64 (B, m, m) matrix, inf where a pivot is 0.
-
-    In-place Gauss-Jordan elimination on a batch-last (m, m, B) copy, with
-    the pivoting of ``_pivot`` over whole rows: column col of the inverse
-    takes the place of column col of A.  The row swaps permute the columns
-    of the inverse, which leaves its norm unchanged.
-    """
-    b, m, _ = mats.shape
-    a = np.empty((m, m, b))
-    a[...] = mats.transpose(1, 2, 0)
-    singular = np.zeros(b, dtype=bool)
-    for col in range(m):
-        _pivot(a, col, 0)
-        pivots = a[col, col].copy()
-        singular |= pivots == 0.0
-        factors = a[:, col].copy()
-        factors[col] = 0.0
-        a[:, col] = 0.0
-        a[col, col] = 1.0
-        a[col] /= np.where(pivots == 0.0, 1.0, pivots)
-        a -= factors[:, None] * a[col]
-    norm = np.sqrt((a * a).sum((0, 1)))
-    norm[singular] = np.inf
-    return norm
-
-
-def _cores() -> int:
-    """Cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _row_blocks(kernel, rows: int, step: int) -> None:
-    """Run ``kernel(lo, hi)``, which writes its own results, over rows
-    0:rows in blocks of ``step`` rows.
-
-    A call of one block, or on one core, runs every block on the calling
-    thread.  Otherwise every block is offered to ``_pool()`` as a future.
-    Workers take offers from the first, and the caller from the last: it
-    runs each offer whose ``cancel()`` succeeds, since no worker started
-    it, and then waits only on the offers workers started.  Offers reach
-    the kernel through a box the caller empties before it returns, so a
-    cancelled offer still queued behind a busy worker holds no reference
-    to the batch.  The first exception, the caller's own or a worker's,
-    is raised once no worker runs the kernel.
-    """
-    blocks = [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
-    if len(blocks) < 2 or _cores() < 2:
-        for lo, hi in blocks:
-            kernel(lo, hi)
-        return
-    box = [kernel]
-    pool = _pool()
-    offers = [pool.submit(lambda lo, hi: box[0](lo, hi), *block) for block in blocks]
-    errors, started = [], []
-    for offer, (lo, hi) in zip(offers[::-1], blocks[::-1]):
-        if not offer.cancel():
-            started.append(offer)
-        elif not errors:
-            try:
-                kernel(lo, hi)
-            except BaseException as exc:  # raised once the workers are done
-                errors.append(exc)
-    errors += filter(None, [offer.exception() for offer in started])
-    box.clear()
-    if errors:
-        raise errors[0]
-
-
-_POOL = None
-_POOL_LOCK = threading.Lock()
-
-
-def _pool():
-    """The thread pool of ``_row_blocks``, made on first use with one
-    thread per core but the caller's."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _POOL = ThreadPoolExecutor(_cores() - 1, thread_name_prefix="cevians-rows")
-        return _POOL
-
-
-def _forget_pool() -> None:
-    """A forked child has none of its parent's threads: start afresh."""
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def feet_weights(weights: np.ndarray) -> np.ndarray:

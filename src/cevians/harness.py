@@ -45,8 +45,8 @@ below the suite tolerances even for the very flat cevian simplices that
 near-boundary points produce (against exact rational determinants: below
 1e-15 on the flattest of 400 sampled n=6 cevian simplices).  Passes of
 trials and the oracle's row blocks are sized from n, and every row is
-computed alone, so reports do not depend on either size or on which thread
-of ``geometry._row_blocks`` ran a row.
+computed alone, so reports do not depend on either size.  Every kernel runs
+on the calling thread.
 """
 from __future__ import annotations
 

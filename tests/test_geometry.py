@@ -27,7 +27,6 @@ from cevians.geometry import (
     CevianBatch,
     _edges,
     _exponent,
-    _inverse_norm,
     cevian_distances,
     is_well_conditioned,
 )
@@ -127,22 +126,30 @@ def _scaled_edges(vertices):
     return _edges(np.ldexp(vertices, -_exponent(vertices)[..., None, None]))
 
 
+def _svd_kappa(edges):
+    """kappa_F(E) from the singular values: sqrt(sum s^2 * sum s^-2), inf
+    where one is 0."""
+    s2 = np.linalg.svd(edges, compute_uv=False) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa = np.sqrt(s2.sum(-1) * (1.0 / s2).sum(-1))
+    return np.where(s2.min(-1) > 0.0, kappa, np.inf)
+
+
 class TestConditionKernel:
-    """``is_well_conditioned``'s Gauss-Jordan kernel against LAPACK through
-    ``np.linalg.cond(E, "fro")``.  Both invert E with partial pivoting in
-    float64, so each is within about 3m unit roundoffs (1.5 m eps) times
-    kappa of the true inverse, relatively; kappa may differ by twice that,
-    rounded up to 4 m eps kappa."""
+    """``is_well_conditioned``'s LU inverse, through ``np.linalg.cond(E,
+    "fro")``, against the singular values of E.  Each side is within about
+    1.5 m eps times kappa of the true value, relatively, so they may differ
+    by twice that, rounded up to 4 m eps kappa.  A singular E has kappa inf
+    from the inverse and at least 1e15 from the singular values."""
 
     @staticmethod
     def _check(vertices):
         edges = _scaled_edges(vertices)
         m = edges.shape[-1]
-        want = np.linalg.cond(edges, "fro")
-        with np.errstate(all="ignore"):
-            got = np.sqrt((edges * edges).sum((-2, -1))) * _inverse_norm(edges)
-        finite = np.isfinite(want)
-        assert np.array_equal(finite, np.isfinite(got))
+        want = _svd_kappa(edges)
+        got = np.linalg.cond(edges, "fro")
+        finite = np.isfinite(got)
+        assert np.all(want[~finite] >= 1e15)
         tol = 4 * m * np.finfo(float).eps * want[finite]
         assert np.all(np.abs(got[finite] - want[finite]) <= tol * want[finite])
         for floor in (COND_DET, DELTA_DEGENERACY):
@@ -206,11 +213,10 @@ class TestConditionKernel:
         vertices[1, 3, 0] = np.inf
         vertices[2, 0, 0] = -np.inf
         vertices[3, :, 1] = np.nan
-        with np.errstate(all="ignore"):
-            want = np.linalg.cond(_scaled_edges(vertices), "fro")
+        want = _svd_kappa(_scaled_edges(vertices[4:]))
         for floor in (COND_DET, DELTA_DEGENERACY):
             ok = is_well_conditioned(vertices, floor)
-            assert np.array_equal(ok, floor * want <= 1.0)
+            assert np.array_equal(ok[4:], floor * want <= 1.0)
             assert not ok[:4].any() and ok[4:].all()
 
 

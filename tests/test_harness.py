@@ -1,13 +1,8 @@
 """Samplers, trial substreams, and the verification suites."""
-import gc
 import json
 import math
-import os
-import subprocess
 import sys
-import threading
-import weakref
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -290,7 +285,7 @@ class TestExtendedPrecisionDet:
                 assert got[i] == pytest.approx(cofactor_det(mats[i]), rel=1e-10)
 
     def test_batch_split_invariance(self):
-        # large enough to split on two cores or more
+        # three row blocks against one matrix at a time
         mats = _rng(8).uniform(-1, 1, size=(2 * SPLIT_MIN_ROWS + 77, 4, 4))
         whole = _det_ld(mats)
         rows = np.concatenate([_det_ld(mats[i : i + 1]) for i in range(len(mats))])
@@ -329,28 +324,9 @@ class TestExtendedPrecisionDet:
             assert np.array_equal(got, reference_det_ld(mats))
         assert np.all(_det_ld(zero_first_column) == 0.0)
 
-    def test_worker_exception_reaches_caller(self, monkeypatch):
-        kernel = geometry._lu_det
-        in_worker = threading.Event()
-
-        def failing_off_caller(mats):
-            if threading.current_thread() is not threading.main_thread():
-                in_worker.set()
-                raise FloatingPointError("worker slice")
-            # hold the caller's block until a pool worker has taken the other
-            assert in_worker.wait(10)
-            return kernel(mats)
-
-        monkeypatch.setattr(geometry, "_cores", lambda: 2)
-        monkeypatch.setattr(geometry, "_lu_det", failing_off_caller)
-        with pytest.raises(FloatingPointError, match="worker slice"):
-            _det_ld(np.ones((2 * SPLIT_MIN_ROWS, 3, 3)))
-
-    def test_concurrent_callers(self, monkeypatch):
-        # more callers and slices than cores, a short switch interval and a
-        # pool made under contention: every caller gets its own rows back
-        monkeypatch.setattr(geometry, "_cores", lambda: 4)
-        monkeypatch.setattr(geometry, "_POOL", None)
+    def test_concurrent_callers(self):
+        # more callers than cores and a short switch interval: every caller
+        # gets its own rows back
         batches = [_rng(20 + i).uniform(-1, 1, (4 * SPLIT_MIN_ROWS, 3, 3)) for i in range(5)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -360,170 +336,29 @@ class TestExtendedPrecisionDet:
                 got = [future.result(timeout=60) for future in futures]
         finally:
             sys.setswitchinterval(interval)
-            geometry._POOL.shutdown()
         for mats, dets in zip(batches, got):
             assert np.array_equal(dets, reference_det_ld(mats))
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_recomputes_split_batches(self):
-        # a child forked after the pool ran has none of its threads; it
-        # must split afresh, not wait on the parent's pool forever
-        script = """
-import os, signal
-import numpy as np
-from cevians import geometry
-geometry._cores = lambda: 2
-mats = np.random.default_rng(3).uniform(-1, 1, (2 * geometry.SPLIT_MIN_ROWS, 6, 6))
-want = geometry._det_ld(mats)
-pid = os.fork()
-if pid == 0:
-    signal.alarm(20)
-    os._exit(0 if np.array_equal(geometry._det_ld(mats), want) else 1)
-print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-"""
-        path = os.pathsep.join(
-            filter(None, [os.path.dirname(os.path.dirname(geometry.__file__)),
-                          os.environ.get("PYTHONPATH")])
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
-            capture_output=True, text=True, check=True, timeout=60,
-        )
-        assert proc.stdout.strip() == "0"
-
 
 class TestRowBlocks:
-    """``_row_blocks`` with the pool's only worker held busy, and on one core.
-    Its one user is ``_det_ld``; the sampler's kernels never start the pool."""
-
-    def test_busy_worker_leaves_the_caller_all_blocks(self, monkeypatch):
-        monkeypatch.setattr(geometry, "_cores", lambda: 2)
-        monkeypatch.setattr(geometry, "_POOL", None)
-        rows = 3 * SPLIT_MIN_ROWS + 5
-        mats = _rng(30).uniform(-1, 1, (rows, 5, 5))
-        want = reference_det_ld(mats)
-
-        def call():
-            # a fresh batch the caller alone refers to
-            batch = mats.copy()
-            return _det_ld(batch), weakref.ref(batch)
-
-        busy, release = threading.Event(), threading.Event()
-        pool = geometry._pool()
-        blocker = pool.submit(lambda: busy.set() or release.wait(60))
-        try:
-            assert busy.wait(10)
-            with ThreadPoolExecutor(1) as caller:
-                dets, ref = caller.submit(call).result(timeout=60)
-            # the worker's queued offers are still pending here
-            assert ref() is None
-        finally:
-            release.set()
-            blocker.result(timeout=10)
-            pool.shutdown()
-        assert np.array_equal(dets, want)
-
-    def test_caller_error_waits_for_the_workers_block(self, monkeypatch):
-        monkeypatch.setattr(geometry, "_cores", lambda: 2)
-        monkeypatch.setattr(geometry, "_POOL", None)
-        in_worker, raised, release = threading.Event(), threading.Event(), threading.Event()
-        ran = {"worker": [], "caller": []}
-
-        def kernel(lo, hi):
-            if threading.current_thread().name.startswith("cevians-rows"):
-                in_worker.set()
-                release.wait(60)
-                ran["worker"].append(lo)
-                return
-            ran["caller"].append(lo)
-            assert in_worker.wait(10)
-            raised.set()
-            raise ValueError("caller block")
-
-        try:
-            with ThreadPoolExecutor(1) as caller:
-                call = caller.submit(geometry._row_blocks, kernel, 4 * SPLIT_MIN_ROWS,
-                                     SPLIT_MIN_ROWS)
-                assert raised.wait(10)
-                # the error waits for the block the worker still runs
-                assert not wait([call], timeout=0.2).done
-                release.set()
-                with pytest.raises(ValueError, match="caller block"):
-                    call.result(timeout=60)
-            assert ran == {"worker": [0], "caller": [3 * SPLIT_MIN_ROWS]}
-        finally:
-            release.set()
-            geometry._POOL.shutdown()
-
-    def test_caller_error_leaves_queued_offers_without_the_batch(self, monkeypatch):
-        monkeypatch.setattr(geometry, "_cores", lambda: 2)
-        monkeypatch.setattr(geometry, "_POOL", None)
-        rows = 3 * SPLIT_MIN_ROWS + 5
-
-        def call():
-            # a batch the caller alone refers to; its second block fails
-            batch = np.zeros(rows)
-
-            def kernel(lo, hi):
-                if lo == 2 * SPLIT_MIN_ROWS:
-                    raise ValueError("caller block")
-                batch[lo:hi] = 1.0
-
-            with pytest.raises(ValueError, match="caller block"):
-                geometry._row_blocks(kernel, rows, SPLIT_MIN_ROWS)
-            return weakref.ref(batch)
-
-        busy, release = threading.Event(), threading.Event()
-        pool = geometry._pool()
-        blocker = pool.submit(lambda: busy.set() or release.wait(60))
-        try:
-            assert busy.wait(10)
-            with ThreadPoolExecutor(1) as caller:
-                ref = caller.submit(call).result(timeout=60)
-            # the three cancelled offers are still queued behind the worker;
-            # collect the cycle through the error's traceback
-            assert not blocker.done()
-            gc.collect()
-            assert ref() is None
-        finally:
-            release.set()
-            blocker.result(timeout=10)
-            pool.shutdown()
+    """``_det_ld`` runs its LU over blocks of at most ``_block_rows(m)``
+    matrices, which bound the LU's longdouble copy."""
 
     def test_large_matrices_split_below_the_row_cap(self, monkeypatch):
-        # 1024 30x30 matrices are one row block of the cap but several of the
-        # entry budget, so a second core takes part
-        monkeypatch.setattr(geometry, "_cores", lambda: 2)
-        monkeypatch.setattr(geometry, "_POOL", None)
+        # 1024 30x30 matrices are one block of the row cap but several of
+        # the entry budget
         mats = _rng(34).uniform(-1, 1, (1024, 30, 30))
-        try:
-            assert np.array_equal(_det_ld(mats), reference_det_ld(mats))
-            assert geometry._POOL is not None
-        finally:
-            if geometry._POOL is not None:
-                geometry._POOL.shutdown()
+        kernel, blocks = geometry._lu_det, []
 
-    def test_one_core_never_starts_the_pool(self, monkeypatch):
-        monkeypatch.setattr(geometry, "_cores", lambda: 1)
-        monkeypatch.setattr(geometry, "_POOL", None)
-        mats = _rng(33).uniform(-1, 1, (2 * SPLIT_MIN_ROWS + 5, 5, 5))
-        # three blocks, all on the calling thread
+        def spy(block):
+            blocks.append(len(block))
+            return kernel(block)
+
+        monkeypatch.setattr(geometry, "_lu_det", spy)
         assert np.array_equal(_det_ld(mats), reference_det_ld(mats))
-        assert geometry._POOL is None
-
-    def test_sampler_never_starts_the_pool(self, monkeypatch):
-        # Philox and the Householder products run on the calling thread;
-        # only the oracle's LU hands blocks to the pool
-        monkeypatch.setattr(geometry, "_cores", lambda: 2)
-        monkeypatch.setattr(geometry, "_POOL", None)
-        try:
-            _draw("affine", 6, np.arange(3 * SPLIT_MIN_ROWS))
-            assert geometry._POOL is None
-            _det_ld(np.ones((2 * SPLIT_MIN_ROWS, 3, 3)))
-            assert geometry._POOL is not None
-        finally:
-            if geometry._POOL is not None:
-                geometry._POOL.shutdown()
+        step = geometry._block_rows(30)
+        assert step < len(mats) < SPLIT_MIN_ROWS
+        assert blocks == [step] * (len(mats) // step) + [len(mats) % step]
 
 
 def _relative_errors(mats):
@@ -671,23 +506,6 @@ class TestSuites:
             monkeypatch.setattr(harness, "_pass_trials", lambda n: batch)
             got = run_suite(plan).to_dict()
             assert json.dumps(got, sort_keys=True) == want
-
-    def test_reports_do_not_depend_on_the_core_count(self, monkeypatch):
-        # the first default batch of 4096 rows splits the oracle's LU into
-        # two blocks, which a second core shares through the pool
-        monkeypatch.setattr(geometry, "_POOL", None)
-        plans = [TrialPlan(suite, 2 if suite == "moebius" else 6,
-                           2 * SPLIT_MIN_ROWS + 100, seed=13) for suite in SUITES]
-        reports = {}
-        try:
-            for cores in (1, 2):
-                monkeypatch.setattr(geometry, "_cores", lambda: cores)
-                reports[cores] = [run_suite(plan).to_dict() for plan in plans]
-            assert geometry._POOL is not None
-        finally:
-            if geometry._POOL is not None:
-                geometry._POOL.shutdown()
-        assert reports[1] == reports[2]
 
     def test_affine_samples_every_trial_at_n40(self):
         report = run_suite(TrialPlan(suite="affine", n=40, trials=200, seed=1))

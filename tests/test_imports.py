@@ -1,7 +1,7 @@
 """Module boundaries: the closed forms and the determinant oracle stay
-independent, the package runs without scipy, the CLI starts without
-starting a thread, and the benchmark's traced functions exist and run on
-the calling thread."""
+independent, the package runs without scipy, the CLI starts and verifies
+without starting a thread, and the benchmark's traced functions exist and
+run on the calling thread."""
 import ast
 import functools
 import importlib.util
@@ -113,23 +113,27 @@ sys.exit(cli.main(["optimize", "--n", "4", "--format", "json"]))
 
 
 def test_cli_import_starts_no_thread():
-    # the oracle's thread pool is made on the first batch large enough to
-    # split, never at import
     report = "'concurrent.futures' in sys.modules, threading.active_count()"
     assert _fresh_cli_import(report) == "False 1"
 
 
 def test_cold_verify_starts_no_pool():
-    # the cli-cold benchmark's verify call: every kernel fits one row block
+    # the cli-cold benchmark's verify call fits one row block; the eq2 call
+    # takes two 4096-trial passes of two LU blocks each
     code = """
-from cevians import cli, geometry
-code = cli.main(["verify", "--suite", "theorem1", "--n", "3", "--trials", "2048",
-                 "--format", "json"])
-print(code, geometry._POOL)
+import sys, threading
+from cevians import cli
+codes = [
+    cli.main(["verify", "--suite", "theorem1", "--n", "3", "--trials", "2048",
+              "--format", "json"]),
+    cli.main(["verify", "--suite", "eq2", "--n", "6", "--trials", "8192",
+              "--seed", "1", "--format", "json"]),
+]
+print(codes, "concurrent.futures" in sys.modules, threading.active_count())
 """
     proc = _fresh_python(code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "0 None"
+    assert proc.stdout.strip().splitlines()[-1] == "[0, 0] False 1"
 
 
 def _bench_spans():
@@ -151,8 +155,7 @@ def test_benchmark_trace_targets_resolve():
 
 
 def test_traced_functions_run_on_the_calling_thread(monkeypatch):
-    # the benchmark's tracer keeps one span stack, so only untraced kernels
-    # may run on the pool's workers
+    # the benchmark's tracer keeps one span stack
     threads = {}
 
     def record(name, fn):
@@ -179,17 +182,11 @@ def test_traced_functions_run_on_the_calling_thread(monkeypatch):
                     if value is original:
                         monkeypatch.setattr(mod, key, wrapper)
 
-    monkeypatch.setattr(geometry, "_cores", lambda: 2)
-    monkeypatch.setattr(geometry, "_POOL", None)
+    # passes of three LU blocks
     monkeypatch.setattr(harness, "_pass_trials", lambda n: 3 * geometry.SPLIT_MIN_ROWS)
-    try:
-        for suite in ("theorem1", "eq2", "segment_ratio"):
-            plan = harness.TrialPlan(suite, 6, 3 * geometry.SPLIT_MIN_ROWS + 100, seed=4)
-            assert harness.run_suite(plan).passed
-        assert geometry._POOL is not None
-    finally:
-        if geometry._POOL is not None:
-            geometry._POOL.shutdown()
+    for suite in ("theorem1", "eq2", "segment_ratio"):
+        plan = harness.TrialPlan(suite, 6, 3 * geometry.SPLIT_MIN_ROWS + 100, seed=4)
+        assert harness.run_suite(plan).passed
     assert {"harness.run_suite", "harness.sample", "harness.stream_reset",
             "harness.oracle", "harness.evaluate",
             "geometry.max_edge_length"} <= set(threads)
