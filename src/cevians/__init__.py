@@ -35,9 +35,7 @@ from .geometry import (
     CevianConfiguration,
     MoebiusAreas,
     build_configuration,
-    cevian_foot,
     corner_simplex_vertices,
-    feet_simplex_vertices,
     moebius_areas,
     simplex_volume,
     to_barycentric,

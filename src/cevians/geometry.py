@@ -6,12 +6,15 @@ Conventions used throughout the package:
 * an n-simplex lives in R^n and is given by n+1 vertices, one per row of an
   (n+1, n) array; indices are 0-based, so vertex i pairs with barycentric
   weight i and with cevian foot i (the foot on the facet opposite vertex i);
-* all values are float64 and arrays are frozen (read-only) after
-  construction, so every object here is safe to share between threads.
+* arrays are float64, except the oracle's determinants and Moebius areas
+  (``_det_ld``, ``det_moebius_areas``), which are longdouble;
+* the records ``BarycentricPoint``, ``CartesianSimplex``,
+  ``CevianConfiguration``, ``CevianBatch`` and ``MoebiusAreas`` are frozen;
+  the arrays of the first three and a batch's cached arrays are read-only.
 
-The oracle kernels work on a ``CevianBatch`` of B configurations, and the
-scalar API is a batch of one over them.  Nothing here imports ``ratios``:
-the suites compare the two, so they must stay independent.
+The oracle kernels work on a ``CevianBatch`` of B configurations, and a
+configuration is a view of its batch of one.  Nothing here imports
+``ratios``: the suites compare the two, so they must stay independent.
 """
 from __future__ import annotations
 
@@ -50,10 +53,13 @@ def _block_rows(m: int) -> int:
     return max(1, min(SPLIT_MIN_ROWS, BLOCK_ENTRIES // (m * m or 1)))
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(a, dtype=float)
-    out.flags.writeable = False
-    return out
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _frozen(a) -> np.ndarray:
+    return _read_only(np.ascontiguousarray(a, dtype=float))
 
 
 def _edges(points: np.ndarray) -> np.ndarray:
@@ -163,8 +169,10 @@ class CartesianSimplex:
 class CevianConfiguration:
     """A simplex, an interior point, and the n+1 cevians through it.
 
-    ``feet`` holds the barycentric coordinates of the cevian feet, one per
-    row; row i has an exact zero in column i (foot i lies on the facet
+    Only ``simplex`` and ``point`` are stored; the arrays are read-only
+    row-0 views of ``batch``, their ``CevianBatch`` of one, made on first
+    use.  ``feet`` holds the barycentric coordinates of the cevian feet, one
+    per row; row i has an exact zero in column i (foot i lies on the facet
     opposite vertex i).  ``dist_to_vertices[i]`` is the distance from the
     interior point to vertex i and ``dist_to_feet[i]`` the distance from the
     interior point to foot i, so ``dist_to_feet[i] / dist_to_vertices[i]``
@@ -173,11 +181,29 @@ class CevianConfiguration:
 
     simplex: CartesianSimplex
     point: BarycentricPoint
-    point_cart: np.ndarray
-    feet: np.ndarray
-    feet_cart: np.ndarray
-    dist_to_vertices: np.ndarray
-    dist_to_feet: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.point.n != self.simplex.dim:
+            raise DimensionMismatchError(
+                f"point n={self.point.n} against simplex n={self.simplex.dim}"
+            )
+
+    @cached_property
+    def batch(self) -> CevianBatch:
+        return CevianBatch(self.simplex.vertices[None], self.point.weights[None])
+
+    @cached_property
+    def feet(self) -> np.ndarray:
+        return _read_only(feet_weights(self.batch.weights))[0]
+
+    @cached_property
+    def _distances(self) -> tuple[np.ndarray, ...]:
+        return tuple(_read_only(d)[0] for d in cevian_distances(self.batch)[:2])
+
+    point_cart = property(lambda self: self.batch.point[0])
+    feet_cart = property(lambda self: self.batch.feet[0])
+    dist_to_vertices = property(lambda self: self._distances[0])
+    dist_to_feet = property(lambda self: self._distances[1])
 
 
 @dataclass(frozen=True)
@@ -275,7 +301,7 @@ class CevianBatch:
     """B cevian configurations: (B, n+1, n) vertices and (B, n+1) weights.
 
     Cartesian feet and point and the base and feet determinants are
-    computed once, on first use, and shared by every kernel that reads them.
+    computed once, on first use, as read-only arrays all kernels share.
     """
 
     vertices: np.ndarray
@@ -283,19 +309,19 @@ class CevianBatch:
 
     @cached_property
     def feet(self) -> np.ndarray:
-        return feet_weights(self.weights) @ self.vertices
+        return _read_only(feet_weights(self.weights) @ self.vertices)
 
     @cached_property
     def point(self) -> np.ndarray:
-        return np.einsum("bj,bjd->bd", self.weights, self.vertices)
+        return _read_only(np.einsum("bj,bjd->bd", self.weights, self.vertices))
 
     @cached_property
     def base_det(self) -> np.ndarray:
-        return _det_ld(_edges(self.vertices))
+        return _read_only(_det_ld(_edges(self.vertices)))
 
     @cached_property
     def feet_det(self) -> np.ndarray:
-        return _det_ld(_edges(self.feet))
+        return _read_only(_det_ld(_edges(self.feet)))
 
 
 def det_cevian_ratios(batch: CevianBatch) -> np.ndarray:
@@ -425,50 +451,24 @@ def to_barycentric(p, s: CartesianSimplex) -> BarycentricPoint:
     return BarycentricPoint(w)
 
 
-def cevian_foot(i: int, m: BarycentricPoint) -> np.ndarray:
-    """Barycentric coordinates of the cevian foot opposite vertex i (row i
-    of :func:`feet_weights`); entry i of the result is exactly 0."""
-    if not 0 <= i <= m.n:
-        raise IndexError(f"foot index {i} out of range 0..{m.n}")
-    return _frozen(feet_weights(m.weights)[i])
-
-
 def build_configuration(s: CartesianSimplex, m: BarycentricPoint) -> CevianConfiguration:
-    """Assemble the full cevian configuration for simplex s and point m."""
-    if m.n != s.dim:
-        raise DimensionMismatchError(f"point n={m.n} against simplex n={s.dim}")
-    batch = CevianBatch(s.vertices[None], m.weights[None])
-    dist_to_vertices, dist_to_feet, _ = cevian_distances(batch)
-    return CevianConfiguration(
-        simplex=s,
-        point=m,
-        point_cart=_frozen(batch.point[0]),
-        feet=_frozen(feet_weights(m.weights)),
-        feet_cart=_frozen(batch.feet[0]),
-        dist_to_vertices=_frozen(dist_to_vertices[0]),
-        dist_to_feet=_frozen(dist_to_feet[0]),
-    )
+    """The cevian configuration of simplex s and point m."""
+    return CevianConfiguration(s, m)
 
 
 def moebius_areas(config: CevianConfiguration) -> MoebiusAreas:
     """Measure the four Moebius areas of a triangle cevian configuration."""
     if config.simplex.dim != 2:
         raise UnsupportedDimensionError("Moebius areas are defined for n = 2 only")
-    batch = CevianBatch(config.simplex.vertices[None], config.point.weights[None])
-    areas = det_moebius_areas(batch)
+    areas = det_moebius_areas(config.batch)
     return MoebiusAreas(**{name: float(a[0]) for name, a in vars(areas).items()})
 
 
-def feet_simplex_vertices(config: CevianConfiguration) -> np.ndarray:
-    """Vertices of the cevian simplex N_0 ... N_n (the feet, in order)."""
-    return config.feet_cart
-
-
 def corner_simplex_vertices(config: CevianConfiguration, k: int) -> np.ndarray:
-    """Vertices of corner sub-simplex k: the interior point plus every foot
-    except foot k."""
+    """Vertices of corner sub-simplex k, read-only: the interior point plus
+    every foot except foot k."""
     n = config.simplex.dim
     if not 0 <= k <= n:
         raise IndexError(f"corner index {k} out of range 0..{n}")
     keep = [j for j in range(n + 1) if j != k]
-    return np.vstack([config.feet_cart[keep], config.point_cart[None, :]])
+    return _read_only(np.vstack([config.feet_cart[keep], config.point_cart[None, :]]))

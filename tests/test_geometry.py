@@ -8,26 +8,27 @@ import pytest
 from cevians import (
     BarycentricPoint,
     CartesianSimplex,
+    CevianConfiguration,
     DegenerateSimplexError,
     DimensionMismatchError,
     NotInteriorError,
     UnsupportedDimensionError,
     build_configuration,
-    cevian_foot,
     corner_simplex_vertices,
-    feet_simplex_vertices,
+    moebius_areas,
     simplex_volume,
     to_barycentric,
     to_cartesian,
     volume,
 )
+from cevians import geometry
 from cevians.geometry import (
     DELTA_DEGENERACY,
     EPS_BOUNDARY,
-    CevianBatch,
     _edges,
     _exponent,
     cevian_distances,
+    feet_weights,
     is_well_conditioned,
 )
 from cevians.harness import COND_DET
@@ -309,11 +310,11 @@ class TestCoordinateMaps:
 class TestCevianFoot:
     def test_centroid_foot_is_facet_midpoint(self):
         m = BarycentricPoint([1 / 3, 1 / 3, 1 / 3])
-        assert np.allclose(cevian_foot(0, m), [0.0, 0.5, 0.5], atol=1e-15)
+        assert np.allclose(feet_weights(m.weights)[0], [0.0, 0.5, 0.5], atol=1e-15)
 
     def test_renormalization_case(self):
         m = BarycentricPoint([0.5, 0.25, 0.25])
-        foot = cevian_foot(0, m)
+        foot = feet_weights(m.weights)[0]
         assert foot[0] == 0.0
         assert np.allclose(foot, [0.0, 0.5, 0.5], atol=1e-15)
 
@@ -324,18 +325,10 @@ class TestCevianFoot:
             if w.min() < 1e-6:
                 continue
             m = BarycentricPoint(w)
-            for i in range(5):
-                foot = cevian_foot(i, m)
+            for i, foot in enumerate(feet_weights(m.weights)):
                 assert foot[i] == 0.0
                 assert abs(foot.sum() - 1.0) <= 1e-12
                 assert np.all(np.delete(foot, i) > 0.0)
-
-    def test_index_range(self):
-        m = BarycentricPoint([1, 1, 1])
-        with pytest.raises(IndexError):
-            cevian_foot(3, m)
-        with pytest.raises(IndexError):
-            cevian_foot(-1, m)
 
 
 class TestConfiguration:
@@ -399,18 +392,61 @@ class TestConfiguration:
             (cfg.dist_to_feet, unit.dist_to_feet),
         ]:
             assert np.allclose(got / scale, want, rtol=1e-15, atol=0)
-        *_, off_line = cevian_distances(CevianBatch(cfg.simplex.vertices[None], m.weights[None]))
+        *_, off_line = cevian_distances(cfg.batch)
         assert off_line.max() <= 1e-15
 
     def test_helper_vertex_sets(self):
         s = CartesianSimplex(UNIT_TRIANGLE)
         cfg = build_configuration(s, BarycentricPoint([1, 1, 1]))
-        assert feet_simplex_vertices(cfg).shape == (3, 2)
+        assert cfg.feet_cart.shape == (3, 2)
         corner = corner_simplex_vertices(cfg, 0)
         assert corner.shape == (3, 2)
         assert np.allclose(corner[-1], cfg.point_cart)
         with pytest.raises(IndexError):
             corner_simplex_vertices(cfg, 5)
+
+    def test_point_and_simplex_dimensions_must_agree(self):
+        s, m = CartesianSimplex(UNIT_TET), BarycentricPoint([1, 1, 1])
+        with pytest.raises(DimensionMismatchError):
+            build_configuration(s, m)
+        with pytest.raises(DimensionMismatchError):
+            CevianConfiguration(s, m)
+
+    def test_exposed_arrays_are_read_only(self):
+        s = CartesianSimplex(UNIT_TRIANGLE)
+        cfg = build_configuration(s, BarycentricPoint([1, 2, 3]))
+        arrays = [
+            cfg.simplex.vertices,
+            cfg.point.weights,
+            cfg.point_cart,
+            cfg.feet,
+            cfg.feet_cart,
+            cfg.dist_to_vertices,
+            cfg.dist_to_feet,
+            corner_simplex_vertices(cfg, 0),
+            cfg.batch.feet,
+            cfg.batch.point,
+            cfg.batch.base_det,
+            cfg.batch.feet_det,
+        ]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    def test_one_batch_per_configuration(self, monkeypatch):
+        real, made = geometry.CevianBatch, []
+
+        def spy(*args):
+            made.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(geometry, "CevianBatch", spy)
+        s = CartesianSimplex(UNIT_TRIANGLE)
+        cfg = build_configuration(s, BarycentricPoint([1, 2, 3]))
+        cfg.point_cart, cfg.feet, cfg.feet_cart, cfg.dist_to_vertices, cfg.dist_to_feet
+        moebius_areas(cfg)
+        corner_simplex_vertices(cfg, 1)
+        assert len(made) == 1
 
     def test_affine_invariance_of_volume_ratios(self):
         # invertible affine maps leave volume ratios unchanged (rel 1e-9)
