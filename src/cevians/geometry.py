@@ -13,8 +13,15 @@ Conventions used throughout the package:
   the arrays of the first three and a batch's cached arrays are read-only.
 
 The oracle kernels work on a ``CevianBatch`` of B configurations, and a
-configuration is a view of its batch of one.  Nothing here imports
-``ratios``: the suites compare the two, so they must stay independent.
+configuration is a view of its batch of one.  ``_det_ld`` is the oracle's
+one entry point.  A base or cevian simplex is one pivoted LU of its m x m
+edge matrix.  The n+1 corner simplices share M and all but one foot, so
+their volumes are the maximal minors of the (n+1) x n feet relative to M,
+all taken from one pivoted elimination of its transpose plus a Hessenberg
+sweep per minor: O(n^3) per trial where n+1 LUs take O(n^4).  The base and
+cevian determinants never come from the minors, so the decomposition
+check's two sides stay independent.  Nothing here imports ``ratios``: the
+suites compare the two, so they must stay independent.
 """
 from __future__ import annotations
 
@@ -40,11 +47,11 @@ EPS_BOUNDARY = 1e-9
 # at most 1 / DELTA_DEGENERACY.
 DELTA_DEGENERACY = 1e-9
 
-# Row block of the oracle's LU: at most SPLIT_MIN_ROWS m x m matrices and
-# BLOCK_ENTRIES entries, so 2048 rows up to m = 12.  The blocks bound the
-# LU's longdouble copy, 4.7 MB against 118 MB for 2048 60x60 matrices, and
-# keep it nearer the cache: on one core, 4096 30x30 matrices took 0.66-0.72 s
-# in blocks against 0.79-0.95 s at once.
+# Row block of the oracle's kernels: at most SPLIT_MIN_ROWS m x m (or
+# (m+1) x m) matrices and BLOCK_ENTRIES m x m entries, so 2048 rows up to
+# m = 12.  The blocks bound the longdouble copy, 4.7 MB against 118 MB for
+# 2048 60x60 matrices, and keep it nearer the cache: on one core, 4096
+# 30x30 matrices took 0.66-0.72 s in blocks against 0.79-0.95 s at once.
 SPLIT_MIN_ROWS = 2048
 BLOCK_ENTRIES = SPLIT_MIN_ROWS * 12**2
 
@@ -59,7 +66,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _frozen(a) -> np.ndarray:
-    return _read_only(np.ascontiguousarray(a, dtype=float))
+    """A read-only float64 copy, never the caller's own array."""
+    return _read_only(np.array(a, dtype=float, order="C"))
 
 
 def _edges(points: np.ndarray) -> np.ndarray:
@@ -232,18 +240,24 @@ class MoebiusAreas:
             raise ValueError("areas must satisfy p + q + r + x = S")
 
 
-def _det_ld(mats: np.ndarray) -> np.ndarray:
-    """Batched determinants in extended precision via pivoted LU.
+def _det_ld(mats: np.ndarray, rows=None) -> np.ndarray:
+    """Batched determinants in extended precision via pivoted elimination.
 
-    mats: (B, m, m) in any float dtype; returns (B,) longdouble.  Each
-    determinant depends only on its own matrix, so results do not depend on
-    the ``_block_rows(m)`` blocks the LU runs over.
+    mats: (B, m, m) in any float dtype returns the (B,) longdouble
+    determinants, and ``rows`` is unused.  mats: (B, m+1, m) returns the (B, len(rows)) maximal
+    minors, minor c the determinant of mats with row c deleted, for every
+    c in ``rows`` (default all m+1).  Each result depends only on its own
+    matrix, so results do not depend on the ``_block_rows(m)`` blocks the
+    kernels run over.
     """
-    rows = mats.shape[0]
-    out = np.empty(rows, dtype=np.longdouble)
-    step = _block_rows(mats.shape[-1])
-    for lo in range(0, rows, step):
-        out[lo : lo + step] = _lu_det(mats[lo : lo + step])
+    count, k, m = mats.shape
+    square = k == m
+    rows = range(k) if rows is None else rows
+    out = np.empty((count,) if square else (count, len(rows)), dtype=np.longdouble)
+    step = _block_rows(m)
+    for lo in range(0, count, step):
+        block = mats[lo : lo + step]
+        out[lo : lo + step] = _lu_det(block) if square else _minors(block, rows)
     return out
 
 
@@ -266,22 +280,79 @@ def _pivot(a: np.ndarray, col: int, first: int) -> np.ndarray:
     return piv != 0
 
 
+def _eliminate(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pivoted elimination, in place, of the m columns of a batch-last
+    (m, w, B) longdouble array, w >= m: a[:, :] becomes U of P A = L U on
+    and above the diagonal.  ``_pivot`` swaps columns col:.  Only
+    a[col+1:, col+1:] is updated, by a rounded product and then a
+    subtraction; column col below the diagonal is never read again.
+    Returns the products of the first c pivots, (m+1, B), and the lanes
+    with an odd number of swaps."""
+    m, _, b = a.shape
+    prefix = np.ones((m + 1, b), dtype=np.longdouble)
+    odd = np.zeros(b, dtype=bool)
+    for col in range(m):
+        odd ^= _pivot(a, col, col)
+        pivots = a[col, col]
+        np.multiply(prefix[col], pivots, out=prefix[col + 1])
+        factors = a[col + 1 :, col] / np.where(pivots == 0.0, 1.0, pivots)
+        a[col + 1 :, col + 1 :] -= factors[:, None] * a[col, col + 1 :]
+    return prefix, odd
+
+
 def _lu_det(mats: np.ndarray) -> np.ndarray:
-    """The pivoted LU of ``_det_ld`` on a batch-last (m, m, B) copy, so
-    every step works on contiguous lanes.  ``_pivot`` swaps columns col:.
-    Only a[col+1:, col+1:] is updated, by a rounded product and then a
-    subtraction; column col below the diagonal is never read again."""
+    """The determinants of ``_det_ld`` from ``_eliminate`` on a batch-last
+    (m, m, B) copy, so every step works on contiguous lanes."""
     b, m, _ = mats.shape
     a = np.empty((m, m, b), dtype=np.longdouble)
     a[...] = mats.transpose(1, 2, 0)
-    det = np.ones(b, dtype=np.longdouble)
-    for col in range(m):
-        np.negative(det, out=det, where=_pivot(a, col, col))
-        pivots = a[col, col]
+    prefix, odd = _eliminate(a)
+    return np.negative(prefix[m], out=prefix[m], where=odd)
+
+
+def _minors(mats: np.ndarray, rows) -> np.ndarray:
+    """The maximal minors of ``_det_ld`` for a (B, m+1, m) block, all from
+    one elimination of the transposes A = mats^T, (m, m+1) each.
+
+    A row swap flips the sign of every maximal minor of A and a row
+    addition keeps them all, so with U from ``_eliminate``, minor c (column c of A deleted) is that sign times
+    u_00 ... u_(c-1)(c-1) times det H_c, H_c = U[c:, c+1:] upper Hessenberg.
+    det H_c is one sweep of adjacent-row pivoting: a carried row, H_c's row
+    j after elimination (U's columns r+1: at r = c + j), meets U[r+1, r+1:]
+    and keeps the larger leading entry, the carried one on a tie, as its
+    pivot.  The sweeps of every requested c run side by side, a carry
+    joining at r = c.  H_m is empty: minor m needs no sweep.  All of it is
+    O(m^3) per matrix, against O(m^4) for m+1 separate LUs.
+    """
+    b, _, m = mats.shape
+    a = np.empty((m, m + 1, b), dtype=np.longdouble)
+    a[...] = mats.transpose(2, 1, 0)
+    prefix, odd = _eliminate(a)
+    dets = {m: prefix[m]}
+    swept = sorted(set(rows) - {m})
+    start = swept[0] if swept else m
+    carry = np.empty((0, m - start, b), dtype=np.longdouble)
+    det = np.empty((0, b), dtype=np.longdouble)
+    for r in range(start, m):
+        if r in swept:  # corner r joins: its carried row is U[r, r+1:]
+            carry = np.concatenate([carry, a[r, None, r + 1 :]])
+            det = np.concatenate([det, prefix[r, None]])
+        top = carry[:, 0]
+        if r == m - 1:
+            det *= top
+            break
+        low = a[r + 1, r + 1 :]
+        swap = np.abs(low[0]) > np.abs(top)
+        pivots = np.where(swap, low[0], top)
         det *= pivots
-        factors = a[col + 1 :, col] / np.where(pivots == 0.0, 1.0, pivots)
-        a[col + 1 :, col + 1 :] -= factors[:, None] * a[col, col + 1 :]
-    return det
+        np.negative(det, out=det, where=swap)
+        factors = np.where(swap, top, low[0]) / np.where(pivots == 0.0, 1.0, pivots)
+        pivot_rows = np.where(swap[:, None], low[1:], carry[:, 1:])
+        carry = np.where(swap[:, None], carry[:, 1:], low[1:])
+        carry -= factors[:, None] * pivot_rows
+    dets.update(zip(swept, det))
+    out = np.stack([dets[c] for c in rows], axis=1)
+    return np.negative(out, out=out, where=odd[:, None])
 
 
 def feet_weights(weights: np.ndarray) -> np.ndarray:
@@ -329,32 +400,25 @@ def det_cevian_ratios(batch: CevianBatch) -> np.ndarray:
     return np.abs(batch.feet_det / batch.base_det).astype(float)
 
 
-def _spans(feet: np.ndarray, apex: np.ndarray, corners):
-    """Edge matrices of the simplices spanned by ``apex`` (B, n) and every
-    foot but foot c, one (B, n, n) stack per c in ``corners``, made one at a
-    time from feet moved to the apex once."""
-    rel = feet - apex[:, None, :]
-    return (np.delete(rel, c, axis=1) for c in corners)
-
-
 def det_corner_ratios(batch: CevianBatch, corners=None) -> np.ndarray:
     """Volume(corner c) / Volume(base) by determinants; (B, len(corners)).
 
     Corner c is spanned by M and every foot but foot c; default: all n+1.
+    Its volume is the minor of the feet relative to M with row c deleted,
+    so all corners come from one elimination; ``feet_det`` is never read.
     """
-    k = batch.weights.shape[1]
-    spans = _spans(batch.feet, batch.point, range(k) if corners is None else corners)
-    dets = [_det_ld(span) for span in spans]
-    return np.abs(np.stack(dets, axis=1) / batch.base_det[:, None]).astype(float)
+    minors = _det_ld(batch.feet - batch.point[:, None, :], corners)
+    return np.abs(minors / batch.base_det[:, None]).astype(float)
 
 
 def det_moebius_areas(batch: CevianBatch) -> MoebiusAreas:
     """Moebius areas of B triangles, each field (B,) and kept in longdouble
-    so the residual built from them inherits the oracle's accuracy."""
+    so the residual built from them inherits the oracle's accuracy.  Corner
+    i is spanned by vertex i and the feet but foot i: the minor of the feet
+    relative to vertex i with row i deleted."""
     p, q, r = (
-        np.abs(_det_ld(span)) / 2.0
+        np.abs(_det_ld(batch.feet - batch.vertices[:, i, None], (i,))[:, 0]) / 2.0
         for i in range(3)
-        for span in _spans(batch.feet, batch.vertices[:, i], [i])
     )
     return MoebiusAreas(
         p, q, r, x=np.abs(batch.feet_det) / 2.0, S=np.abs(batch.base_det) / 2.0

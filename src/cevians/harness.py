@@ -39,11 +39,13 @@ Sampling keeps the oracle's rounding far below the tolerances.  A simplex
 has edges E = Q diag(sigma), Q random orthogonal, so kappa_F(E) <=
 KAPPA_MAX by construction (``_simplex``); weights are the flat Dirichlet
 conditioned on the suite's floor, COND_WEIGHT for relative tolerances.  Oracle
-determinants are evaluated in extended precision (80-bit on x86) by a
-batched pivoted-LU routine, which keeps the oracle's relative error far
-below the suite tolerances even for the very flat cevian simplices that
-near-boundary points produce (against exact rational determinants: below
-1e-15 on the flattest of 400 sampled n=6 cevian simplices).  Passes of
+determinants are evaluated in extended precision (80-bit on x86): the base
+and cevian simplices by one batched pivoted LU each, and all corners of a
+trial as the maximal minors of one pivoted elimination (``geometry._det_ld``).
+That keeps the oracle's relative error far below the suite tolerances even
+for the very flat simplices that near-boundary points produce (against
+exact rational determinants: below 1e-15 on the flattest of 400 sampled
+n=6 cevian simplices, 1.1e-15 on their corners).  Passes of
 trials and the oracle's row blocks are sized from n, and every row is
 computed alone, so reports do not depend on either size.  Every kernel runs
 on the calling thread.

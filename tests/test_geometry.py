@@ -74,11 +74,27 @@ class TestBarycentricPoint:
             b.weights[0] = 0.9
         assert b.n == 2
 
+    def test_caller_array_stays_writeable(self):
+        w = np.array([0.25, 0.25, 0.5])
+        b = BarycentricPoint(w)
+        assert w.flags.writeable and not np.shares_memory(w, b.weights)
+        w[0] = 0.5
+        assert b.weights[0] == 0.25
+
 
 class TestCartesianSimplex:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateSimplexError):
             CartesianSimplex([[0, 0], [1, 1], [2, 2]])
+
+    def test_caller_array_stays_writeable(self):
+        # a C-contiguous float64 array would pass through asarray unchanged
+        v = np.array(UNIT_TRIANGLE)
+        s = CartesianSimplex(v)
+        assert v.flags.writeable and s.vertices is not v
+        assert not s.vertices.flags.writeable
+        v[0, 0] = 5.0
+        assert s.vertices[0, 0] == 0.0
 
     def test_shape_checked(self):
         with pytest.raises(DimensionMismatchError):

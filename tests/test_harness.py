@@ -387,6 +387,108 @@ class TestOracleCalibration:
         assert worst <= 1e-15, (worst, np.finfo(np.longdouble))
 
 
+def _minor_errors(stacks):
+    """Relative errors of every maximal minor of (B, m+1, m) stacks."""
+    errors = []
+    for mat, minors in zip(stacks, _det_ld(stacks)):
+        for c, got in enumerate(minors):
+            exact = exact_det(np.delete(mat, c, axis=0))
+            errors.append(float(abs(Fraction(*got.as_integer_ratio()) - exact) / abs(exact)))
+    return np.array(errors)
+
+
+def _corner_stacks(batch):
+    return batch.feet - batch.point[:, None, :]
+
+
+class TestCornerMinors:
+    """``_det_ld`` on (B, m+1, m) stacks: every maximal minor from one
+    elimination of the transpose plus a Hessenberg sweep per minor."""
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_random_stacks_against_exact(self, m):
+        worst = _minor_errors(_rng(60 + m).uniform(-1, 1, size=(25, m + 1, m))).max()
+        assert worst <= 1e-16, (worst, np.finfo(np.longdouble))
+
+    @pytest.mark.parametrize("n, count", [(6, 40), (12, 8)])
+    def test_sampled_corner_stacks_against_exact(self, n, count):
+        # eq2's stacks, weights floored at 1e-3, stay as accurate as random
+        # ones.  theorem1's flattest, weights down to 1e-5 here, lose about
+        # eps * kappa, kappa growing like 1 / min(w): 1.1e-15 at n = 6 and
+        # 5.1e-15 at n = 12, against 1.9e-16 and 3.7e-16 for one LU per
+        # corner.  Either is far below the 1e-9 of the suites that read
+        # every corner.
+        verts, wts = _draw("eq2", n, range(count))
+        worst = _minor_errors(_corner_stacks(CevianBatch(verts, wts))).max()
+        assert worst <= 1e-16, (worst, np.finfo(np.longdouble))
+        verts, wts = _draw("theorem1", n, range(400))
+        flattest = np.argsort(wts.min(1))[:count]
+        batch = CevianBatch(verts[flattest], wts[flattest])
+        worst = _minor_errors(_corner_stacks(batch)).max()
+        assert worst <= 1e-14, (worst, np.finfo(np.longdouble))
+
+    def test_batch_split_invariance(self):
+        # three row blocks against one stack at a time, and any subset of
+        # rows against the same columns of all of them
+        stacks = _rng(61).uniform(-1, 1, size=(2 * SPLIT_MIN_ROWS + 77, 5, 4))
+        whole = _det_ld(stacks)
+        assert whole.shape == (len(stacks), 5) and whole.dtype == np.longdouble
+        rows = np.concatenate([_det_ld(stacks[i : i + 1]) for i in range(len(stacks))])
+        assert np.array_equal(whole, rows)
+        for subset in [(4,), (0,), (3, 1), (4, 0, 2)]:
+            assert np.array_equal(_det_ld(stacks, subset), whole[:, subset])
+
+    def test_empty_batch(self):
+        for subset in [None, (4,), (1, 2)]:
+            got = _det_ld(np.zeros((0, 5, 4)), subset)
+            assert got.shape == (0, 5 if subset is None else len(subset))
+            assert got.dtype == np.longdouble
+
+    @pytest.mark.parametrize("zero", range(5))
+    def test_zero_row(self, zero):
+        # a foot at the apex: only the minor without it survives
+        stacks = _rng(62).uniform(-1, 1, size=(20, 5, 4))
+        stacks[:, zero] = 0.0
+        got = _det_ld(stacks)
+        assert np.all(np.delete(got, zero, axis=1) == 0.0)
+        for mat, minor in zip(stacks, got[:, zero]):
+            exact = exact_det(np.delete(mat, zero, axis=0))
+            assert abs(Fraction(*minor.as_integer_ratio()) - exact) <= 1e-16 * abs(exact)
+
+    def test_zero_column(self):
+        # every foot and the apex share one coordinate: all minors vanish
+        stacks = _rng(63).uniform(-1, 1, size=(20, 5, 4))
+        for col in range(4):
+            flat = stacks.copy()
+            flat[:, :, col] = 0.0
+            assert np.all(_det_ld(flat) == 0.0)
+
+    @pytest.mark.parametrize("values, m", [((-1.0, 0.0, 1.0), 4), ((-1.0, 1.0), 6)])
+    def test_ties_in_pivot_magnitude(self, values, m):
+        # entries of one magnitude tie in the LU's columns and between the
+        # carried and the next row of the sweeps; minors are integers of
+        # magnitude at most m^(m/2)
+        stacks = _rng(64).choice(values, size=(300, m + 1, m))
+        for mat, minors in zip(stacks, _det_ld(stacks)):
+            for c, got in enumerate(minors):
+                exact = exact_det(np.delete(mat, c, axis=0))
+                assert abs(Fraction(*got.as_integer_ratio()) - exact) <= 1e-15
+
+    def test_corner_ratios_never_read_feet_det(self, monkeypatch):
+        # the decomposition check sums the corners against feet_det; a
+        # corner route through feet_det would make it a tautology
+        def unread(batch):
+            raise AssertionError("det_corner_ratios read feet_det")
+
+        verts, wts = _draw("decomposition", 4, range(50))
+        monkeypatch.setattr(CevianBatch, "feet_det", property(unread))
+        batch = CevianBatch(verts, wts)
+        assert geometry.det_corner_ratios(batch).shape == (50, 5)
+        assert geometry.det_corner_ratios(batch, (4,)).shape == (50, 1)
+        with pytest.raises(AssertionError, match="feet_det"):
+            batch.feet_det
+
+
 class TestTrialPlan:
     def test_defaults_per_suite(self):
         for suite in SUITES:
@@ -506,6 +608,15 @@ class TestSuites:
             monkeypatch.setattr(harness, "_pass_trials", lambda n: batch)
             got = run_suite(plan).to_dict()
             assert json.dumps(got, sort_keys=True) == want
+
+    @pytest.mark.parametrize("suite", ["eq2", "decomposition", "affine"])
+    @pytest.mark.parametrize("n", [12, 30])
+    def test_equality_suites_at_larger_n(self, suite, n):
+        # all n+1 corners of every trial come from one elimination; the
+        # float64 inputs' error budget, about 1.1e-10, keeps a margin
+        report = run_suite(TrialPlan(suite=suite, n=n, trials=500, seed=3))
+        assert report.passed, report.violations[:3]
+        assert report.max_ratio_observed <= report.plan.tol / 4
 
     def test_affine_samples_every_trial_at_n40(self):
         report = run_suite(TrialPlan(suite="affine", n=40, trials=200, seed=1))
