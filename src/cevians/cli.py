@@ -104,17 +104,17 @@ def _parse_weights(text: str, n: int, parser: argparse.ArgumentParser) -> list[f
 
 def _cmd_ratio(args, parser) -> int:
     weights = _parse_weights(args.weights, args.n, parser)
+    try:
+        point = BarycentricPoint(weights)
+    except NotInteriorError as exc:
+        print(f"error: not an interior point: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
     total = sum(weights)
     if abs(total - 1.0) > 1e-9:
         print(
             f"warning: weights sum to {total:.15g}; renormalizing",
             file=sys.stderr,
         )
-    try:
-        point = BarycentricPoint(weights)
-    except NotInteriorError as exc:
-        print(f"error: not an interior point: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     breakdown = ratio_breakdown(point)
     corners = [float(c) for c in breakdown.corner_ratios]
     payload = {

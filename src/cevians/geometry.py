@@ -47,11 +47,13 @@ EPS_BOUNDARY = 1e-9
 # at most 1 / DELTA_DEGENERACY.
 DELTA_DEGENERACY = 1e-9
 
-# Row block of the oracle's kernels: at most SPLIT_MIN_ROWS m x m (or
-# (m+1) x m) matrices and BLOCK_ENTRIES m x m entries, so 2048 rows up to
-# m = 12.  The blocks bound the longdouble copy, 4.7 MB against 118 MB for
-# 2048 60x60 matrices, and keep it nearer the cache: on one core, 4096
-# 30x30 matrices took 0.66-0.72 s in blocks against 0.79-0.95 s at once.
+# Row block of the oracle: at most SPLIT_MIN_ROWS matrices and
+# BLOCK_ENTRIES m x m entries, so 2048 rows up to m = 12.  This is the one
+# size budget: a pass of the harness is one block of (n+1) x (n+1) entries,
+# so the oracle's kernels never split a batch.  It bounds the longdouble
+# copy, 4.7 MB against 118 MB for 2048 60x60 matrices, and every float64
+# temporary of a pass with it: on one core, 4096 30x30 matrices took
+# 0.66-0.72 s in blocks against 0.79-0.95 s at once.
 SPLIT_MIN_ROWS = 2048
 BLOCK_ENTRIES = SPLIT_MIN_ROWS * 12**2
 
@@ -244,21 +246,17 @@ def _det_ld(mats: np.ndarray, rows=None) -> np.ndarray:
     """Batched determinants in extended precision via pivoted elimination.
 
     mats: (B, m, m) in any float dtype returns the (B,) longdouble
-    determinants, and ``rows`` is unused.  mats: (B, m+1, m) returns the (B, len(rows)) maximal
-    minors, minor c the determinant of mats with row c deleted, for every
-    c in ``rows`` (default all m+1).  Each result depends only on its own
-    matrix, so results do not depend on the ``_block_rows(m)`` blocks the
-    kernels run over.
+    determinants, and ``rows`` is unused.  mats: (B, m+1, m) returns the
+    (B, len(rows)) maximal minors, minor c the determinant of mats with row
+    c deleted, for every c in ``rows`` (default all m+1).  Each result
+    depends only on its own matrix, so results do not depend on the batch.
+    The whole batch is eliminated at once: callers pass at most
+    ``_block_rows(m)`` matrices, a pass of the harness or a single one.
     """
-    count, k, m = mats.shape
-    square = k == m
-    rows = range(k) if rows is None else rows
-    out = np.empty((count,) if square else (count, len(rows)), dtype=np.longdouble)
-    step = _block_rows(m)
-    for lo in range(0, count, step):
-        block = mats[lo : lo + step]
-        out[lo : lo + step] = _lu_det(block) if square else _minors(block, rows)
-    return out
+    _, k, m = mats.shape
+    if k == m:
+        return _lu_det(mats)
+    return _minors(mats, range(k) if rows is None else rows)
 
 
 def _pivot(a: np.ndarray, col: int, first: int) -> np.ndarray:
@@ -311,7 +309,7 @@ def _lu_det(mats: np.ndarray) -> np.ndarray:
 
 
 def _minors(mats: np.ndarray, rows) -> np.ndarray:
-    """The maximal minors of ``_det_ld`` for a (B, m+1, m) block, all from
+    """The maximal minors of ``_det_ld`` for a (B, m+1, m) batch, all from
     one elimination of the transposes A = mats^T, (m, m+1) each.
 
     A row swap flips the sign of every maximal minor of A and a row

@@ -45,14 +45,14 @@ trial as the maximal minors of one pivoted elimination (``geometry._det_ld``).
 That keeps the oracle's relative error far below the suite tolerances even
 for the very flat simplices that near-boundary points produce (against
 exact rational determinants: below 1e-15 on the flattest of 400 sampled
-n=6 cevian simplices, 1.1e-15 on their corners).  Passes of
-trials and the oracle's row blocks are sized from n, and every row is
-computed alone, so reports do not depend on either size.  Every kernel runs
-on the calling thread.
+n=6 cevian simplices, 1.1e-15 on their corners).  A pass of trials is one
+of the oracle's row blocks, ``geometry._block_rows(n + 1)`` trials, so
+every temporary of a pass is as small as the block it feeds; every row is
+computed alone, so reports do not depend on the pass size.  Every kernel
+runs on the calling thread.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 import operator
 import time
@@ -84,17 +84,12 @@ COLLINEARITY_TOL = 1e-9
 # temporaries (about 1 MB) stay in a 2 MB L2: on a 2-core Xeon, a 4096-row
 # batch of n=6 vertices took 10 ms at once and 6 ms in 1024-row blocks.
 PHILOX_ROW_BLOCK = 16384
-# Trials per pass of run_suite: 4096, or fewer where their (trials, n+1, n)
-# float64 vertex array would pass PASS_BYTES (n >= 23).  A pass spans 2 of
-# the oracle's row blocks up to n = 12, and 7 or 8 from n = 22 to 300.  On a
-# 2-core Xeon, against a fixed 4096, eq2 n=30 ran 350 trials/s at 125 MB, not
-# 337 at 266 MB; theorem1 n=60 ran 249 at 119 MB, not 165 at 458 MB.  Halving
-# or doubling this or geometry.BLOCK_ENTRIES changed less than steal did.
-PASS_BYTES = 2**24
+# Trials per pass of run_suite: one oracle row block of (n+1) x (n+1)
+# entries, which holds the pass's square LUs and its (n+1) x n corner minors.
 
 
 def _pass_trials(n: int) -> int:
-    return min(4096, PASS_BYTES // (8 * (n + 1) * n))
+    return oracle._block_rows(n + 1)
 
 
 # Checks: (batch, tol, bound, *second simplex) -> per-trial (margin,
@@ -431,6 +426,8 @@ def _evaluate(
 
 
 def _digest(suite: str, seed: int, trial: int, *arrays: np.ndarray) -> str:
+    import hashlib  # only violations need it, and it maps OpenSSL's libcrypto
+
     h = hashlib.sha256()
     h.update(suite.encode())
     h.update(seed.to_bytes(8, "little"))

@@ -71,6 +71,15 @@ class TestRatio:
         assert code == 3
         assert "interior" in err
 
+    @pytest.mark.parametrize("weights", ["1,1,inf", "1,1,0"])
+    def test_refused_point_gets_no_renormalization_warning(self, capsys, weights):
+        # the sum is off by more than 1e-9, but the point is refused, so
+        # the error is the only line on stderr
+        code, out, err = run_cli(capsys, "ratio", "--n", "2", "--lambda", weights)
+        assert code == 3 and out == ""
+        assert err.startswith("error: not an interior point:")
+        assert err.count("\n") == 1 and "warning" not in err
+
     def test_malformed_flags_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, "ratio", "--n", "2", "--lambda", "0.5,0.5")

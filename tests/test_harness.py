@@ -30,7 +30,6 @@ from cevians.harness import (
     COND_DET,
     DEFAULT_TOLERANCES,
     KAPPA_MAX,
-    PASS_BYTES,
     PHILOX_ROW_BLOCK,
     SUITE_TABLE,
     _draw_trial,
@@ -285,7 +284,7 @@ class TestExtendedPrecisionDet:
                 assert got[i] == pytest.approx(cofactor_det(mats[i]), rel=1e-10)
 
     def test_batch_split_invariance(self):
-        # three row blocks against one matrix at a time
+        # a batch larger than two passes against one matrix at a time
         mats = _rng(8).uniform(-1, 1, size=(2 * SPLIT_MIN_ROWS + 77, 4, 4))
         whole = _det_ld(mats)
         rows = np.concatenate([_det_ld(mats[i : i + 1]) for i in range(len(mats))])
@@ -341,24 +340,29 @@ class TestExtendedPrecisionDet:
 
 
 class TestRowBlocks:
-    """``_det_ld`` runs its LU over blocks of at most ``_block_rows(m)``
-    matrices, which bound the LU's longdouble copy."""
+    """A pass of ``run_suite`` is one row block: the oracle's kernels see at
+    most ``_block_rows(m)`` matrices per call, which bounds the LU's
+    longdouble copy and every float64 temporary of the pass."""
 
-    def test_large_matrices_split_below_the_row_cap(self, monkeypatch):
-        # 1024 30x30 matrices are one block of the row cap but several of
-        # the entry budget
-        mats = _rng(34).uniform(-1, 1, (1024, 30, 30))
-        kernel, blocks = geometry._lu_det, []
+    @pytest.mark.parametrize("n", [2, 6, 12, 30])
+    def test_kernels_see_at_most_one_block_per_call(self, monkeypatch, n):
+        calls = []
 
-        def spy(block):
-            blocks.append(len(block))
-            return kernel(block)
+        def spy(kernel):
+            def wrapper(mats, *args):
+                calls.append((len(mats), mats.shape[2]))
+                return kernel(mats, *args)
 
-        monkeypatch.setattr(geometry, "_lu_det", spy)
-        assert np.array_equal(_det_ld(mats), reference_det_ld(mats))
-        step = geometry._block_rows(30)
-        assert step < len(mats) < SPLIT_MIN_ROWS
-        assert blocks == [step] * (len(mats) // step) + [len(mats) % step]
+            return wrapper
+
+        for name in ("_lu_det", "_minors"):
+            monkeypatch.setattr(geometry, name, spy(getattr(geometry, name)))
+        step = harness._pass_trials(n)
+        report = run_suite(TrialPlan(suite="affine", n=n, trials=2 * step + 5, seed=1))
+        assert report.passed, report.violations[:3]
+        assert {m for _, m in calls} == {n}
+        assert all(rows <= geometry._block_rows(m) for rows, m in calls), calls
+        assert max(rows for rows, _ in calls) == step
 
 
 def _relative_errors(mats):
@@ -428,8 +432,8 @@ class TestCornerMinors:
         assert worst <= 1e-14, (worst, np.finfo(np.longdouble))
 
     def test_batch_split_invariance(self):
-        # three row blocks against one stack at a time, and any subset of
-        # rows against the same columns of all of them
+        # a batch larger than two passes against one stack at a time, and
+        # any subset of rows against the same columns of all of them
         stacks = _rng(61).uniform(-1, 1, size=(2 * SPLIT_MIN_ROWS + 77, 5, 4))
         whole = _det_ld(stacks)
         assert whole.shape == (len(stacks), 5) and whole.dtype == np.longdouble
@@ -635,18 +639,17 @@ class TestSuites:
         assert a.max_ratio_observed != b.max_ratio_observed
 
     def test_pass_sizes_at_the_gated_dimensions(self):
-        # the at-scale gates and the benchmark keep their schedule
+        # the at-scale gates and the benchmark run 2048-trial passes
         for n in range(2, 7):
-            assert harness._pass_trials(n) == 4096
-            assert geometry._block_rows(n) == SPLIT_MIN_ROWS == 2048
+            assert harness._pass_trials(n) == SPLIT_MIN_ROWS == 2048
 
-    def test_pass_fits_the_byte_budget_at_every_n(self):
-        # a fixed 4096 would need 4096 * 301 * 300 * 8 B, about 3 GB, for
-        # the vertices alone at n=300
-        for n in range(2, 1001):
+    def test_pass_is_one_block_at_every_n(self):
+        # a pass of (n+1) x (n+1) entries fits the block of both the square
+        # LUs and the (n+1) x n corner minors
+        for n in range(2, 1000):
             trials = harness._pass_trials(n)
-            assert trials >= 1
-            assert trials * (n + 1) * n * 8 <= PASS_BYTES
+            assert 1 <= trials == geometry._block_rows(n + 1) <= geometry._block_rows(n)
+            assert trials * (n + 1) ** 2 <= geometry.BLOCK_ENTRIES or trials == 1
 
 
 class TestDeskScaleGuarantee:

@@ -11,6 +11,8 @@ import sys
 import threading
 from pathlib import Path
 
+import pytest
+
 import cevians
 from cevians import geometry, harness
 
@@ -118,8 +120,8 @@ def test_cli_import_starts_no_thread():
 
 
 def test_cold_verify_starts_no_pool():
-    # the cli-cold benchmark's verify call fits one row block; the eq2 call
-    # takes two 4096-trial passes of two LU blocks each
+    # the cli-cold benchmark's verify call fits one pass; the eq2 call
+    # takes four 2048-trial passes
     code = """
 import sys, threading
 from cevians import cli
@@ -134,6 +136,50 @@ print(codes, "concurrent.futures" in sys.modules, threading.active_count())
     proc = _fresh_python(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[0, 0] False 1"
+
+
+def test_passing_verify_never_loads_hashlib():
+    # importing hashlib maps OpenSSL's libcrypto (3.7 MB); only a violation's
+    # digest needs it, and a lazy import must give the same digests
+    code = """
+import io, json, sys
+from contextlib import redirect_stdout
+from cevians import cli
+code = cli.main(["verify", "--suite", "theorem1", "--n", "3", "--trials", "100"])
+loaded = [name for name in ("hashlib", "_hashlib") if name in sys.modules]
+out = io.StringIO()
+with redirect_stdout(out):
+    failed = cli.main(["verify", "--suite", "affine", "--n", "2", "--trials", "3",
+                       "--tol", "1e-300", "--seed", "0", "--format", "json"])
+digests = [v["inputs_digest"] for v in json.loads(out.getvalue())["violations"]]
+print(code, loaded, failed, digests)
+"""
+    proc = _fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == (
+        "0 [] 1 ['113c4141b7db8453', 'a614528e4b118f7b', 'e7e5db504098da3e']"
+    )
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_large_n_verify_memory():
+    # a pass is one oracle block, 79 trials at n=60.  Passes of 573 trials
+    # cut into 79-row blocks raised the peak by about 52 MB, one-block
+    # passes by about 19 MB
+    code = """
+import resource
+from cevians import cli
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+code = cli.main(["verify", "--suite", "theorem1", "--n", "60", "--trials", "1024",
+                 "--seed", "1", "--format", "json"])
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(code, (after - before) / 1024)
+"""
+    proc = _fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
+    code, growth_mb = proc.stdout.strip().splitlines()[-1].split()
+    assert code == "0"
+    assert float(growth_mb) < 40.0, growth_mb
 
 
 def _bench_spans():
@@ -182,7 +228,7 @@ def test_traced_functions_run_on_the_calling_thread(monkeypatch):
                     if value is original:
                         monkeypatch.setattr(mod, key, wrapper)
 
-    # passes of three LU blocks
+    # passes of three blocks' worth of trials, each eliminated at once
     monkeypatch.setattr(harness, "_pass_trials", lambda n: 3 * geometry.SPLIT_MIN_ROWS)
     for suite in ("theorem1", "eq2", "segment_ratio"):
         plan = harness.TrialPlan(suite, 6, 3 * geometry.SPLIT_MIN_ROWS + 100, seed=4)
