@@ -8,70 +8,68 @@ and the extremal constant theta_n in closed, continued-fraction, and
 hyperbolic form; every closed form is cross-checked against independent
 determinant oracles and derivative-free optimizers by seeded, reproducible
 verification suites.
+
+The package namespace is lazy (PEP 562): a name imports its submodule on
+first use, so ``import cevians`` loads neither numpy nor any submodule, and
+the scalar constants and bounds of ``cevians.constants`` never load numpy.
 """
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-from .constants import (
-    metallic,
-    metallic_cf,
-    metallic_hyperbolic,
-    theta,
-    theta_cf,
-    theta_hyperbolic,
-)
-from .errors import (
-    CevianError,
-    ConvergenceError,
-    DegenerateSimplexError,
-    DimensionMismatchError,
-    NotInteriorError,
-    OutOfDomainError,
-    UnsupportedDimensionError,
-)
-from .geometry import (
-    BarycentricPoint,
-    CartesianSimplex,
-    CevianConfiguration,
-    MoebiusAreas,
-    build_configuration,
-    corner_simplex_vertices,
-    moebius_areas,
-    simplex_volume,
-    to_barycentric,
-    to_cartesian,
-    volume,
-)
-from .harness import (
-    DEFAULT_TOLERANCES,
-    SUITES,
-    TrialPlan,
-    VerificationReport,
-    Violation,
-    run_suite,
-)
-from .optimize import (
-    F,
-    OptimizerResult,
-    f,
-    f_prime,
-    maximize_F_simplex,
-    maximize_f_1d,
-)
-from .ratios import (
-    BoundAudit,
-    ConstantsRow,
-    RatioBreakdown,
-    audit_bound,
-    cevian_ratio,
-    constants_row,
-    corner_ratio,
-    moebius_residual,
-    ratio_breakdown,
-    theorem1_bound,
-    theorem1_bound_log,
-    theorem2_value,
-    theorem2_value_log,
-)
+# Every public name, and the submodule that defines it; a submodule names
+# itself.
+_HOME = {
+    name: module
+    for module, names in {
+        "constants": (
+            "BoundAudit", "ConstantsRow", "audit_bound", "constants_row",
+            "metallic", "metallic_cf", "metallic_hyperbolic",
+            "theorem1_bound", "theorem1_bound_log",
+            "theorem2_value", "theorem2_value_log",
+            "theta", "theta_cf", "theta_hyperbolic",
+        ),
+        "errors": (
+            "CevianError", "ConvergenceError", "DegenerateSimplexError",
+            "DimensionMismatchError", "NotInteriorError", "OutOfDomainError",
+            "UnsupportedDimensionError",
+        ),
+        "geometry": (
+            "BarycentricPoint", "CartesianSimplex", "CevianConfiguration",
+            "MoebiusAreas", "build_configuration", "corner_simplex_vertices",
+            "moebius_areas", "simplex_volume", "to_barycentric",
+            "to_cartesian", "volume",
+        ),
+        "harness": (
+            "DEFAULT_TOLERANCES", "SUITES", "TrialPlan",
+            "VerificationReport", "Violation", "run_suite",
+        ),
+        "optimize": (
+            "F", "OptimizerResult", "f", "f_prime",
+            "maximize_F_simplex", "maximize_f_1d",
+        ),
+        "ratios": (
+            "RatioBreakdown", "cevian_ratio", "corner_ratio",
+            "moebius_residual", "ratio_breakdown",
+        ),
+    }.items()
+    for name in (module, *names)
+}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = _import_module(f"{__name__}.{module}")
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

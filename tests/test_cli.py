@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cevians import geometry, harness
-from cevians.cli import main
+from cevians.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -185,6 +185,35 @@ class TestVerify:
         assert len(margins) == 14 and set(margins) == {"inf"}
         _, csv_out, _ = run_cli(capsys, *argv, "--format", "csv")
         assert next(csv.DictReader(io.StringIO(csv_out)))["worst_margin"] == "inf"
+
+    @pytest.mark.parametrize("suite, n", [("eq2", 150), ("affine", 150),
+                                          ("decomposition", 140)])
+    def test_underflowed_ratios_never_pass(self, capsys, suite, n):
+        # past float64 underflow the ratios these suites divide by are 0, so
+        # margins are NaN or inf: every trial is a violation, no warning
+        # escapes, and worst_margin is NaN rather than max(-inf, nan) = -inf
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", suite, "--n", str(n),
+            "--trials", "3", "--seed", "1", "--format", "json",
+        )
+        payload = json.loads(out)
+        assert code == 1 and payload["passed"] is False
+        assert [v["trial_index"] for v in payload["violations"]] == [0, 1, 2]
+        assert payload["worst_margin"] == "nan"
+        assert err == ""
+
+    def test_unknown_suite_exit_2_names_every_suite(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "verify", "--suite", "bogus", "--n", "2")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --suite: invalid choice: 'bogus' (choose from " in err
+        assert all(repr(suite) in err for suite in harness.SUITES)
+
+    @pytest.mark.parametrize("suite", harness.SUITES)
+    def test_every_suite_parses(self, suite):
+        args = build_parser().parse_args(["verify", "--suite", suite, "--n", "2"])
+        assert args.suite == suite
 
     def test_n150_samples_every_trial(self, capsys):
         # box-uniform vertices with a redraw filter sampled none of these

@@ -1,7 +1,8 @@
 """Module boundaries: the closed forms and the determinant oracle stay
-independent, the package runs without scipy, the CLI starts and verifies
-without starting a thread, and the benchmark's traced functions exist and
-run on the calling thread."""
+independent, the package runs without scipy, each CLI subcommand loads only
+the modules it needs and starts no thread, the lazy package namespace keeps
+its names, and the benchmark's traced functions exist and run on the
+calling thread."""
 import ast
 import functools
 import importlib.util
@@ -112,6 +113,77 @@ sys.exit(cli.main(["optimize", "--n", "4", "--format", "json"]))
     proc = _fresh_python(code)
     assert proc.returncode == 0, proc.stderr
     assert '"converged_simplex": true' in proc.stdout
+
+
+# Public names of the package namespace; each resolves on first use.
+PUBLIC_NAMES = [
+    "BarycentricPoint", "BoundAudit", "CartesianSimplex", "CevianConfiguration",
+    "CevianError", "ConstantsRow", "ConvergenceError", "DEFAULT_TOLERANCES",
+    "DegenerateSimplexError", "DimensionMismatchError", "F", "MoebiusAreas",
+    "NotInteriorError", "OptimizerResult", "OutOfDomainError", "RatioBreakdown",
+    "SUITES", "TrialPlan", "UnsupportedDimensionError", "VerificationReport",
+    "Violation", "audit_bound", "build_configuration", "cevian_ratio",
+    "constants", "constants_row", "corner_ratio", "corner_simplex_vertices",
+    "errors", "f", "f_prime", "geometry", "harness", "maximize_F_simplex",
+    "maximize_f_1d", "metallic", "metallic_cf", "metallic_hyperbolic",
+    "moebius_areas", "moebius_residual", "optimize", "ratio_breakdown",
+    "ratios", "run_suite", "simplex_volume", "theorem1_bound",
+    "theorem1_bound_log", "theorem2_value", "theorem2_value_log", "theta",
+    "theta_cf", "theta_hyperbolic", "to_barycentric", "to_cartesian", "volume",
+]
+
+
+@pytest.mark.parametrize(
+    "argv, loaded, absent",
+    [
+        (None, set(), {"numpy", "cevians.constants"}),
+        (["constants", "--n-max", "12"], {"cevians.constants"}, {"numpy"}),
+        (["audit-bounds", "--n-max", "12"], {"cevians.constants"}, {"numpy"}),
+        (["ratio", "--n", "2", "--lambda", "1,1,1"], {"numpy", "cevians.ratios"},
+         {"cevians.harness", "cevians.optimize"}),
+        (["verify", "--suite", "theorem1", "--n", "2", "--trials", "10"],
+         {"cevians.harness"}, {"cevians.optimize"}),
+    ],
+    ids=["import", "constants", "audit-bounds", "ratio", "verify"],
+)
+def test_subcommand_loads_only_what_it_uses(argv, loaded, absent):
+    # `import cevians` alone, or one passing CLI call, in a new interpreter;
+    # what it loaded is reported on the last line
+    code = f"""
+import contextlib, io, sys
+import cevians
+argv = {argv!r}
+if argv is not None:
+    from cevians import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+print(sorted(name for name in sys.modules if name in {sorted(loaded | absent)!r}))
+"""
+    proc = _fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == repr(sorted(loaded))
+
+
+def test_lazy_namespace_keeps_every_name():
+    code = """
+import cevians
+names = sorted(cevians.__all__)
+resolved = [name for name in names if getattr(cevians, name, None) is not None]
+scope = {}
+exec("from cevians import *", scope)
+print(names == resolved, sorted(set(names) - set(scope)), set(names) <= set(dir(cevians)))
+print(names)
+"""
+    proc = _fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
+    summary, names = proc.stdout.strip().splitlines()[-2:]
+    assert summary == "True [] True"
+    assert names == repr(PUBLIC_NAMES)
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        cevians.nonexistent  # noqa: B018
 
 
 def test_cli_import_starts_no_thread():
