@@ -47,19 +47,19 @@ EPS_BOUNDARY = 1e-9
 # at most 1 / DELTA_DEGENERACY.
 DELTA_DEGENERACY = 1e-9
 
-# Row block of the oracle: at most SPLIT_MIN_ROWS matrices and
-# BLOCK_ENTRIES m x m entries, so 2048 rows up to m = 12.  This is the one
-# size budget: a pass of the harness is one block of (n+1) x (n+1) entries,
-# so the oracle's kernels never split a batch.  It bounds the longdouble
-# copy, 4.7 MB against 118 MB for 2048 60x60 matrices, and every float64
+# Row block of the oracle: at most BLOCK_ROWS matrices and BLOCK_ENTRIES
+# m x m entries, so 2048 rows up to m = 12.  This is the one size budget: a
+# pass of the harness is one block of (n+1) x (n+1) entries, and every draw
+# and kernel works on the whole pass.  It bounds the longdouble copy,
+# 4.7 MB against 118 MB for 2048 60x60 matrices, and every float64
 # temporary of a pass with it: on one core, 4096 30x30 matrices took
 # 0.66-0.72 s in blocks against 0.79-0.95 s at once.
-SPLIT_MIN_ROWS = 2048
-BLOCK_ENTRIES = SPLIT_MIN_ROWS * 12**2
+BLOCK_ROWS = 2048
+BLOCK_ENTRIES = BLOCK_ROWS * 12**2
 
 
 def _block_rows(m: int) -> int:
-    return max(1, min(SPLIT_MIN_ROWS, BLOCK_ENTRIES // (m * m or 1)))
+    return max(1, min(BLOCK_ROWS, BLOCK_ENTRIES // (m * m)))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -75,6 +75,11 @@ def _frozen(a) -> np.ndarray:
 def _edges(points: np.ndarray) -> np.ndarray:
     """Edge vectors from the last point to the others; (..., m+1, d) -> (..., m, d)."""
     return points[..., :-1, :] - points[..., -1:, :]
+
+
+def _cartesian(weights: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """The Cartesian point sum_j w_j A_j; (..., k), (..., k, d) -> (..., d)."""
+    return np.einsum("...j,...jd->...d", weights, vertices)
 
 
 def max_edge_length(points: np.ndarray):
@@ -259,18 +264,18 @@ def _det_ld(mats: np.ndarray, rows=None) -> np.ndarray:
     return _minors(mats, range(k) if rows is None else rows)
 
 
-def _pivot(a: np.ndarray, col: int, first: int) -> np.ndarray:
+def _pivot(a: np.ndarray, col: int) -> np.ndarray:
     """Partial pivoting on a contiguous batch-last (m, w, B) array: moves
     the first argmax of |a[col:, col]| of each lane into row col.  Only the
-    lanes that pivot swap, and only in columns first:, by flat take/put
+    lanes that pivot swap, and only in columns col:, by flat take/put
     indices.  Returns the mask of lanes that swapped."""
     _, w, b = a.shape
     piv = np.abs(a[col:, col]).argmax(axis=0)
     lanes = np.flatnonzero(piv)
     if lanes.size:
-        # Flat indices of columns first: of row col and of the pivot row.
+        # Flat indices of columns col: of row col and of the pivot row.
         flat = a.reshape(-1)
-        top = (np.arange(col * w + first, (col + 1) * w) * b)[:, None] + lanes
+        top = (np.arange(col * w + col, (col + 1) * w) * b)[:, None] + lanes
         low = top + piv[lanes] * (w * b)
         saved = flat[top]
         flat[top] = flat[low]
@@ -290,7 +295,7 @@ def _eliminate(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     prefix = np.ones((m + 1, b), dtype=np.longdouble)
     odd = np.zeros(b, dtype=bool)
     for col in range(m):
-        odd ^= _pivot(a, col, col)
+        odd ^= _pivot(a, col)
         pivots = a[col, col]
         np.multiply(prefix[col], pivots, out=prefix[col + 1])
         factors = a[col + 1 :, col] / np.where(pivots == 0.0, 1.0, pivots)
@@ -382,7 +387,7 @@ class CevianBatch:
 
     @cached_property
     def point(self) -> np.ndarray:
-        return _read_only(np.einsum("bj,bjd->bd", self.weights, self.vertices))
+        return _read_only(_cartesian(self.weights, self.vertices))
 
     @cached_property
     def base_det(self) -> np.ndarray:
@@ -488,7 +493,7 @@ def to_cartesian(weights, s: CartesianSimplex) -> np.ndarray:
             f"{w.shape[0] if w.ndim == 1 else w.shape} weights against "
             f"{s.vertices.shape[0]} vertices"
         )
-    return w @ s.vertices
+    return _cartesian(w, s.vertices)
 
 
 def to_barycentric(p, s: CartesianSimplex) -> BarycentricPoint:

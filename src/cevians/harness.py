@@ -46,10 +46,10 @@ That keeps the oracle's relative error far below the suite tolerances even
 for the very flat simplices that near-boundary points produce (against
 exact rational determinants: below 1e-15 on the flattest of 400 sampled
 n=6 cevian simplices, 1.1e-15 on their corners).  A pass of trials is one
-of the oracle's row blocks, ``geometry._block_rows(n + 1)`` trials, so
-every temporary of a pass is as small as the block it feeds; every row is
-computed alone, so reports do not depend on the pass size.  Every kernel
-runs on the calling thread.
+of the oracle's row blocks, ``geometry._block_rows(n + 1)`` trials, and
+every draw and kernel works on the whole pass, so every temporary of a pass
+is as small as the block; every row is computed alone, so reports do not
+depend on the pass size.  Every kernel runs on the calling thread.
 """
 from __future__ import annotations
 
@@ -81,16 +81,20 @@ KAPPA_MAX = 0.999 / COND_DET
 DET_ROUTE_TOL = 1e-9
 # Collinearity slack for A_i, M, N_i, relative to the edge scale.
 COLLINEARITY_TOL = 1e-9
-# Philox counters per row block of a draw.  Their uint64 words and
-# temporaries (about 1 MB) stay in a 2 MB L2: on a 2-core Xeon, a 4096-row
-# batch of n=6 vertices took 10 ms at once and 6 ms in 1024-row blocks.
-PHILOX_ROW_BLOCK = 16384
 # Trials per pass of run_suite: one oracle row block of (n+1) x (n+1)
 # entries, which holds the pass's square LUs and its (n+1) x n corner minors.
 
 
 def _pass_trials(n: int) -> int:
     return oracle._block_rows(n + 1)
+
+
+def _checked_seed(seed) -> int:
+    """An integer seed in [0, 2**64), the range of Philox's two key words."""
+    seed = operator.index(seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must be an unsigned 64-bit integer")
+    return seed
 
 
 # Checks: (batch, tol, bound, *second simplex) -> per-trial (margin,
@@ -211,7 +215,7 @@ class TrialPlan:
     tol: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("n", "trials", "seed"):
+        for name in ("n", "trials"):
             object.__setattr__(self, name, operator.index(getattr(self, name)))
         suite = SUITE_TABLE.get(self.suite)
         if suite is None:
@@ -223,8 +227,7 @@ class TrialPlan:
             raise ValueError(f"the {suite.name} suite needs n <= {suite.max_n}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
+        object.__setattr__(self, "seed", _checked_seed(self.seed))
         if self.tol is None:
             object.__setattr__(self, "tol", suite.tol)
         if not 0.0 < self.tol < math.inf:
@@ -319,10 +322,9 @@ class _TrialDraws:
     """The draws of a set of trials, one row per trial.
 
     Each call takes the next counter blocks of every row's substream,
-    starting on a fresh block; a block gives two uniforms of 53 bits.  The
-    rows go through Philox in blocks of about PHILOX_ROW_BLOCK counters, on
-    the calling thread; counters are independent, so the bits do not depend
-    on the blocks.
+    starting on a fresh block; a block gives two uniforms of 53 bits.  All
+    rows go through one Philox call on the calling thread; counters are
+    independent, so a row's bits do not depend on the other rows.
     """
 
     def __init__(self, key: tuple, trials: np.ndarray) -> None:
@@ -336,19 +338,14 @@ class _TrialDraws:
         blocks = (count + 1) // 2
         index = np.arange(self._block, self._block + blocks, dtype=np.uint64)
         self._block += blocks
-        out = np.empty((rows, count))
-        step = max(1, PHILOX_ROW_BLOCK // blocks)
-        for lo in range(0, rows, step):
-            hi = min(lo + step, rows)
-            counter = (index & _MASK32, index >> 32, self._low[lo:hi], self._high[lo:hi])
-            w0, w1, w2, w3 = _philox4x32(counter, self._key)
-            for word, low in ((w0, w1), (w2, w3)):  # (word << 32 | low) >> 11
-                word <<= 32
-                word |= low
-                word >>= 11
-            bits = np.stack([w0, w2], axis=-1).reshape(hi - lo, 2 * blocks)
-            np.multiply(bits[:, :count], 2.0**-53, out=out[lo:hi])
-        return out.reshape(size)
+        counter = (index & _MASK32, index >> 32, self._low, self._high)
+        w0, w1, w2, w3 = _philox4x32(counter, self._key)
+        for word, low in ((w0, w1), (w2, w3)):  # (word << 32 | low) >> 11
+            word <<= 32
+            word |= low
+            word >>= 11
+        bits = np.stack([w0, w2], axis=-1).reshape(rows, 2 * blocks)
+        return (bits[:, :count] * 2.0**-53).reshape(size)
 
     def uniform(self, low: float, high: float, size: tuple) -> np.ndarray:
         return low + (high - low) * self._unit(size)
@@ -370,6 +367,7 @@ class _TrialStream:
     two 32-bit words at counter (block low, block high, trial low, trial high)."""
 
     def __init__(self, seed: int) -> None:
+        seed = _checked_seed(seed)
         self.key = (seed & _MASK32, seed >> 32)
 
     def for_trial(self, trials: np.ndarray) -> _TrialDraws:

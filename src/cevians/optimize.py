@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConvergenceError, OutOfDomainError, UnsupportedDimensionError
 from .geometry import BarycentricPoint
 from .harness import _TrialStream
-from .ratios import corner_ratio, corner_ratios
+from .ratios import _as_point, corner_ratio, corner_ratios
 
 # Iteration cap per optimizer start; a compass-search iteration is one poll.
 MAX_ITERATIONS = 10_000
@@ -65,8 +65,8 @@ def F(m) -> float:
     Identical to ratios.corner_ratio(m, n); re-exported here as the thing
     being maximized.
     """
-    w = m.weights if isinstance(m, BarycentricPoint) else np.asarray(m, dtype=float)
-    return corner_ratio(w, w.shape[0] - 1)
+    point = _as_point(m)
+    return corner_ratio(point, point.n)
 
 
 @dataclass(frozen=True)

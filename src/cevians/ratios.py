@@ -28,15 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import theorem1_bound, theorem2_value
-from .errors import UnsupportedDimensionError
 from .geometry import BarycentricPoint, MoebiusAreas
 
 
-def _as_weights(m) -> np.ndarray:
-    w = m.weights if isinstance(m, BarycentricPoint) else np.asarray(m, dtype=float)
-    if w.ndim != 1 or w.shape[0] < 3:
-        raise UnsupportedDimensionError("need a weight vector of length n+1, n >= 2")
-    return w
+def _as_point(m) -> BarycentricPoint:
+    """Raw weights as a ``BarycentricPoint``: renormalized, finite, interior."""
+    return m if isinstance(m, BarycentricPoint) else BarycentricPoint(m)
 
 
 def segment_ratios(w: np.ndarray) -> np.ndarray:
@@ -71,11 +68,10 @@ def corner_ratio(m, k: int) -> float:
     Corner k is spanned by the interior point and every cevian foot except
     foot k; its ratio is w_k * prod_{i != k} w_i / (1 - w_i).
     """
-    w = _as_weights(m)
-    n = w.shape[0] - 1
-    if not 0 <= k <= n:
-        raise IndexError(f"corner index {k} out of range 0..{n}")
-    return float(corner_ratios(w, (k,))[0])
+    point = _as_point(m)
+    if not 0 <= k <= point.n:
+        raise IndexError(f"corner index {k} out of range 0..{point.n}")
+    return float(corner_ratios(point.weights, (k,))[0])
 
 
 def cevian_ratio(m) -> float:
@@ -85,7 +81,7 @@ def cevian_ratio(m) -> float:
     the feet's barycentric matrix.  Cross-validated against the Cartesian
     determinant oracle by the verification suites rather than assumed.
     """
-    return float(cevian_ratios(_as_weights(m)))
+    return float(cevian_ratios(_as_point(m).weights))
 
 
 def moebius_residual(areas: MoebiusAreas) -> float:
@@ -111,14 +107,13 @@ class RatioBreakdown:
 
 def ratio_breakdown(m) -> RatioBreakdown:
     """Evaluate every corner ratio, the cevian ratio, and both bounds."""
-    w = _as_weights(m)
-    n = w.shape[0] - 1
-    corners = corner_ratios(w)
+    point = _as_point(m)
+    corners = corner_ratios(point.weights)
     corners.flags.writeable = False
     return RatioBreakdown(
-        n=n,
+        n=point.n,
         corner_ratios=corners,
-        cevian_ratio=float(cevian_ratios(w)),
-        theorem1_bound=theorem1_bound(n),
-        theorem2_value=theorem2_value(n),
+        cevian_ratio=float(cevian_ratios(point.weights)),
+        theorem1_bound=theorem1_bound(point.n),
+        theorem2_value=theorem2_value(point.n),
     )

@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timings.  Criteria 3-7 run the full seeded trial counts, so this
-module takes around a minute; everything else is milliseconds.
+module takes about 10 s; everything else is milliseconds.
 """
 import contextlib
 import json

@@ -284,6 +284,15 @@ class TestCoordinateMaps:
         with pytest.raises(DimensionMismatchError):
             to_barycentric([0.1, 0.1, 0.1], s)
 
+    @pytest.mark.parametrize("n", [2, 3, 6, 12, 30, 60])
+    def test_point_matches_the_configuration_bitwise(self, n):
+        # one formula for sum_j w_j A_j, alone and in a batch
+        rng = _rng(300 + n)
+        for _ in range(200):
+            s = CartesianSimplex(rng.uniform(-1, 1, (n + 1, n)))
+            m = BarycentricPoint(rng.standard_exponential(n + 1) + 0.01)
+            assert np.array_equal(to_cartesian(m, s), build_configuration(s, m).point_cart)
+
     def test_facet_point_not_interior(self):
         s = CartesianSimplex(UNIT_TRIANGLE)
         with pytest.raises(NotInteriorError):

@@ -20,7 +20,7 @@ from cevians import (
 )
 from cevians import geometry, harness
 from cevians.geometry import (
-    SPLIT_MIN_ROWS,
+    BLOCK_ROWS,
     CevianBatch,
     _det_ld,
     _edges,
@@ -30,7 +30,6 @@ from cevians.harness import (
     COND_DET,
     DEFAULT_TOLERANCES,
     KAPPA_MAX,
-    PHILOX_ROW_BLOCK,
     SUITE_TABLE,
     _draw_trial,
     _floored_weights,
@@ -39,7 +38,7 @@ from cevians.harness import (
     _scaled_orthogonal,
     _TrialStream,
 )
-from cevians.optimize import F
+from cevians.optimize import F, maximize_F_simplex
 
 from oracles import cofactor_det, exact_det, reference_det_ld
 
@@ -107,13 +106,21 @@ class TestTrialStream:
         assert not np.array_equal(u, self._uniforms(seed - 1, 3, size=1000))
         assert run_suite(TrialPlan(suite="theorem1", n=2, trials=20, seed=seed)).passed
 
+    @pytest.mark.parametrize("bad, error", [(2**64, ValueError), (-1, ValueError),
+                                            (1.5, TypeError)])
+    def test_stream_refuses_seeds_outside_the_key(self, bad, error):
+        # Philox's key is two 32-bit words: 2**64 would key with seed >> 32
+        # = 2**32, and the optimizer's restarts draw from this stream too
+        for call in (lambda: _TrialStream(bad),
+                     lambda: maximize_F_simplex(3, restarts=2, seed=bad),
+                     lambda: TrialPlan(suite="theorem1", n=2, trials=1, seed=bad)):
+            with pytest.raises(error, match="integer"):
+                call()
+
     @pytest.mark.parametrize("n", [6, 30])
     def test_row_blocks_match_row_by_row_draws(self, n):
-        # each call runs Philox over row blocks of PHILOX_ROW_BLOCK
-        # counters; the rows must be bit-identical to one row at a time
-        counters = (n + 2) // 2  # per row of standard_exponential((rows, n + 1))
-        rows = 3 * (PHILOX_ROW_BLOCK // counters) + 5
-        assert rows > 3 * max(1, PHILOX_ROW_BLOCK // ((n + 1) * n // 2))
+        # rows drawn together must be bit-identical to one row at a time
+        rows = 3 * 2048 + 5
         trials = np.arange(2**32 - 7, 2**32 - 7 + rows)
 
         def draws(gen, count):
@@ -285,7 +292,7 @@ class TestExtendedPrecisionDet:
 
     def test_batch_split_invariance(self):
         # a batch larger than two passes against one matrix at a time
-        mats = _rng(8).uniform(-1, 1, size=(2 * SPLIT_MIN_ROWS + 77, 4, 4))
+        mats = _rng(8).uniform(-1, 1, size=(2 * BLOCK_ROWS + 77, 4, 4))
         whole = _det_ld(mats)
         rows = np.concatenate([_det_ld(mats[i : i + 1]) for i in range(len(mats))])
         assert np.array_equal(whole, rows)
@@ -296,7 +303,7 @@ class TestExtendedPrecisionDet:
 
     @pytest.mark.parametrize("m, extra", [(6, 904), (8, 123)])
     def test_bit_identical_to_reference_on_split_batches(self, m, extra):
-        mats = _rng(9).uniform(-1, 1, size=(2 * SPLIT_MIN_ROWS + extra, m, m))
+        mats = _rng(9).uniform(-1, 1, size=(2 * BLOCK_ROWS + extra, m, m))
         got = _det_ld(mats)
         assert got.dtype == np.longdouble
         assert np.array_equal(got, reference_det_ld(mats))
@@ -326,7 +333,7 @@ class TestExtendedPrecisionDet:
     def test_concurrent_callers(self):
         # more callers than cores and a short switch interval: every caller
         # gets its own rows back
-        batches = [_rng(20 + i).uniform(-1, 1, (4 * SPLIT_MIN_ROWS, 3, 3)) for i in range(5)]
+        batches = [_rng(20 + i).uniform(-1, 1, (4 * BLOCK_ROWS, 3, 3)) for i in range(5)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -434,7 +441,7 @@ class TestCornerMinors:
     def test_batch_split_invariance(self):
         # a batch larger than two passes against one stack at a time, and
         # any subset of rows against the same columns of all of them
-        stacks = _rng(61).uniform(-1, 1, size=(2 * SPLIT_MIN_ROWS + 77, 5, 4))
+        stacks = _rng(61).uniform(-1, 1, size=(2 * BLOCK_ROWS + 77, 5, 4))
         whole = _det_ld(stacks)
         assert whole.shape == (len(stacks), 5) and whole.dtype == np.longdouble
         rows = np.concatenate([_det_ld(stacks[i : i + 1]) for i in range(len(stacks))])
@@ -641,7 +648,7 @@ class TestSuites:
     def test_pass_sizes_at_the_gated_dimensions(self):
         # the at-scale gates and the benchmark run 2048-trial passes
         for n in range(2, 7):
-            assert harness._pass_trials(n) == SPLIT_MIN_ROWS == 2048
+            assert harness._pass_trials(n) == BLOCK_ROWS == 2048
 
     def test_pass_is_one_block_at_every_n(self):
         # a pass of (n+1) x (n+1) entries fits the block of both the square

@@ -301,9 +301,9 @@ def test_traced_functions_run_on_the_calling_thread(monkeypatch):
                         monkeypatch.setattr(mod, key, wrapper)
 
     # passes of three blocks' worth of trials, each eliminated at once
-    monkeypatch.setattr(harness, "_pass_trials", lambda n: 3 * geometry.SPLIT_MIN_ROWS)
+    monkeypatch.setattr(harness, "_pass_trials", lambda n: 3 * geometry.BLOCK_ROWS)
     for suite in ("theorem1", "eq2", "segment_ratio"):
-        plan = harness.TrialPlan(suite, 6, 3 * geometry.SPLIT_MIN_ROWS + 100, seed=4)
+        plan = harness.TrialPlan(suite, 6, 3 * geometry.BLOCK_ROWS + 100, seed=4)
         assert harness.run_suite(plan).passed
     assert {"harness.run_suite", "harness.sample", "harness.stream_reset",
             "harness.oracle", "harness.evaluate",

@@ -8,7 +8,10 @@ import pytest
 from cevians import (
     BarycentricPoint,
     CartesianSimplex,
+    DimensionMismatchError,
+    F,
     MoebiusAreas,
+    NotInteriorError,
     UnsupportedDimensionError,
     audit_bound,
     build_configuration,
@@ -60,6 +63,31 @@ class TestCornerRatio:
             for k in range(n + 1):
                 oracle = simplex_volume(corner_simplex_vertices(cfg, k)) / base
                 assert corner_ratio(w, k) == pytest.approx(oracle, rel=1e-9)
+
+
+class TestRawWeights:
+    """A raw weight vector is a ``BarycentricPoint``: renormalized, finite
+    and interior, for every scalar closed form and the objective F."""
+
+    @pytest.mark.parametrize("raw", [[0.5, 0.5, 0.5], [1, 1, 1]])
+    def test_renormalized_to_the_centroid(self, raw):
+        centroid = BarycentricPoint([1, 1, 1])
+        assert cevian_ratio(raw) == cevian_ratio(centroid) == pytest.approx(0.25)
+        assert corner_ratio(raw, 0) == corner_ratio(centroid, 0) == pytest.approx(1 / 12)
+        assert F(raw) == F(centroid) == corner_ratio(centroid, 2)
+        got, want = ratio_breakdown(raw), ratio_breakdown(centroid)
+        assert got.cevian_ratio == want.cevian_ratio
+        assert np.array_equal(got.corner_ratios, want.corner_ratios)
+
+    @pytest.mark.parametrize(
+        "raw, error",
+        [([0.6, 0.6, -0.2], NotInteriorError), ([0.2, np.nan, 0.8], NotInteriorError),
+         ([[0.2, 0.3, 0.5]], DimensionMismatchError), ([0.5, 0.5], UnsupportedDimensionError)],
+    )
+    def test_refused_like_a_point(self, raw, error):
+        for closed_form in (lambda w: corner_ratio(w, 0), cevian_ratio, ratio_breakdown, F):
+            with pytest.raises(error):
+                closed_form(raw)
 
 
 class TestCevianRatio:
