@@ -137,10 +137,12 @@ class BarycentricPoint:
             )
         if not np.all(np.isfinite(w)):
             raise NotInteriorError("weights must be finite")
-        total = float(w.sum())
+        # The exact power of two of _exponent keeps the sum finite at any scale.
+        scaled = np.ldexp(w, -np.frexp(np.abs(w).max())[1])
+        total = float(scaled.sum())
         if total <= 0.0:
-            raise NotInteriorError(f"weights must have positive sum, got {total}")
-        w = w / total
+            raise NotInteriorError(f"weights must have positive sum, got {sum(w.tolist())}")
+        w = scaled / total
         if w.min() < EPS_BOUNDARY:
             raise NotInteriorError(
                 f"weight {w.min():.3e} below the interior margin {EPS_BOUNDARY:.0e}"
@@ -323,23 +325,21 @@ def _minors(mats: np.ndarray, rows) -> np.ndarray:
     det H_c is one sweep of adjacent-row pivoting: a carried row, H_c's row
     j after elimination (U's columns r+1: at r = c + j), meets U[r+1, r+1:]
     and keeps the larger leading entry, the carried one on a tie, as its
-    pivot.  The sweeps of every requested c run side by side, a carry
-    joining at r = c.  H_m is empty: minor m needs no sweep.  All of it is
-    O(m^3) per matrix, against O(m^4) for m+1 separate LUs.
+    pivot.  The sweeps of every c from min(rows) on run side by side, a
+    carry joining at r = c, and each touches only its own rows.  H_m is
+    empty: minor m needs no sweep.  All of it is O(m^3) per matrix, against
+    O(m^4) for m+1 separate LUs.
     """
     b, _, m = mats.shape
     a = np.empty((m, m + 1, b), dtype=np.longdouble)
     a[...] = mats.transpose(2, 1, 0)
     prefix, odd = _eliminate(a)
-    dets = {m: prefix[m]}
-    swept = sorted(set(rows) - {m})
-    start = swept[0] if swept else m
+    start = min(rows)
     carry = np.empty((0, m - start, b), dtype=np.longdouble)
     det = np.empty((0, b), dtype=np.longdouble)
     for r in range(start, m):
-        if r in swept:  # corner r joins: its carried row is U[r, r+1:]
-            carry = np.concatenate([carry, a[r, None, r + 1 :]])
-            det = np.concatenate([det, prefix[r, None]])
+        carry = np.concatenate([carry, a[r, None, r + 1 :]])  # corner r joins
+        det = np.concatenate([det, prefix[r, None]])
         top = carry[:, 0]
         if r == m - 1:
             det *= top
@@ -353,8 +353,7 @@ def _minors(mats: np.ndarray, rows) -> np.ndarray:
         pivot_rows = np.where(swap[:, None], low[1:], carry[:, 1:])
         carry = np.where(swap[:, None], carry[:, 1:], low[1:])
         carry -= factors[:, None] * pivot_rows
-    dets.update(zip(swept, det))
-    out = np.stack([dets[c] for c in rows], axis=1)
+    out = np.concatenate([det, prefix[m, None]]).T.take(np.subtract(rows, start), axis=1)
     return np.negative(out, out=out, where=odd[:, None])
 
 

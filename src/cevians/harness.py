@@ -81,11 +81,11 @@ KAPPA_MAX = 0.999 / COND_DET
 DET_ROUTE_TOL = 1e-9
 # Collinearity slack for A_i, M, N_i, relative to the edge scale.
 COLLINEARITY_TOL = 1e-9
-# Trials per pass of run_suite: one oracle row block of (n+1) x (n+1)
-# entries, which holds the pass's square LUs and its (n+1) x n corner minors.
 
 
 def _pass_trials(n: int) -> int:
+    """Trials per pass of run_suite: one oracle row block of (n+1) x (n+1)
+    entries, holding the pass's square LUs and its (n+1) x n corner minors."""
     return oracle._block_rows(n + 1)
 
 
@@ -267,11 +267,7 @@ class VerificationReport:
     def to_dict(self) -> dict:
         """JSON-shaped report; field set fixed, elapsed deliberately absent."""
         return {
-            "suite": self.plan.suite,
-            "n": self.plan.n,
-            "trials": self.plan.trials,
-            "seed": self.plan.seed,
-            "tol": self.plan.tol,
+            **asdict(self.plan),
             "passed": self.passed,
             "worst_margin": self.worst_margin,
             "max_ratio_observed": self.max_ratio_observed,

@@ -45,18 +45,18 @@ def f(x: float, n: int) -> float:
     return (x / (1.0 - x)) ** n * (1.0 - n * x)
 
 
-def f_prime(x: float, n: int) -> float:
-    """Derivative of f: (x/(1-x))^n * n (x^2 - (n+1)x + 1) / (x (1-x)).
+def _dlog_f(x: float, n: int) -> float:
+    """d log f/dx = n / (x (1-x)) - n / (1-nx), finite where f underflows."""
+    return n / (x * (1.0 - x)) - n / (1.0 - n * x)
 
-    Positive left of theta_n, negative right of it; the sign is carried
-    entirely by the quadratic factor.
+
+def f_prime(x: float, n: int) -> float:
+    """Derivative of f: f(x) * d log f/dx, with f's domain checks.
+
+    Positive left of theta_n, negative right of it; the sign is that of
+    d log f/dx, the signal maximize_f_1d bisects on.
     """
-    if n < 2:
-        raise UnsupportedDimensionError(f"need n >= 2, got {n}")
-    if not 0.0 < x < 1.0 / n:
-        raise OutOfDomainError(f"x = {x} outside (0, 1/{n})")
-    quad = x * x - (n + 1.0) * x + 1.0
-    return (x / (1.0 - x)) ** n * n * quad / (x * (1.0 - x))
+    return f(x, n) * _dlog_f(x, n)
 
 
 def F(m) -> float:
@@ -111,9 +111,6 @@ def maximize_f_1d(n: int, tol: float = 1e-10) -> OptimizerResult:
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
 
-    def dlog_f(x: float) -> float:
-        return n / (x * (1.0 - x)) - n / (1.0 - n * x)
-
     lo, hi = 0.0, 1.0 / n
     iterations = 0
     # d log f/dx > 0 left of the maximizer, < 0 right of it.
@@ -121,7 +118,7 @@ def maximize_f_1d(n: int, tol: float = 1e-10) -> OptimizerResult:
     while hi - lo > target * hi and iterations < MAX_ITERATIONS:
         iterations += 1
         mid = 0.5 * (lo + hi)
-        if dlog_f(mid) > 0.0:
+        if _dlog_f(mid, n) > 0.0:
             lo = mid
         else:
             hi = mid
@@ -134,7 +131,7 @@ def maximize_f_1d(n: int, tol: float = 1e-10) -> OptimizerResult:
     x = 0.5 * (lo + hi)
     # -d^2 log f/dx^2, positive on the whole domain since x < 1 - x
     curvature = n / x**2 - n / (1.0 - x) ** 2 + n * n / (1.0 - n * x) ** 2
-    residual = abs(dlog_f(x)) / (x * curvature)
+    residual = abs(_dlog_f(x, n)) / (x * curvature)
     return OptimizerResult(
         argmax=x,
         value=f(x, n),

@@ -56,13 +56,15 @@ class TestRatio:
         assert payload["slack_theorem2"] >= 0.0
 
     def test_renormalization_warning(self, capsys):
-        code, out, err = run_cli(
-            capsys,
-            "ratio", "--n", "2", "--lambda", "2,2,2", "--format", "json",
-        )
-        assert code == 0
-        assert "renormalizing" in err
-        assert json.loads(out)["weights"] == pytest.approx([1 / 3] * 3)
+        # also for weights whose sum overflows
+        for weights in ("2,2,2", "1e308,1e308,1e308"):
+            code, out, err = run_cli(
+                capsys,
+                "ratio", "--n", "2", "--lambda", weights, "--format", "json",
+            )
+            assert code == 0
+            assert "renormalizing" in err
+            assert json.loads(out)["weights"] == pytest.approx([1 / 3] * 3)
 
     def test_non_interior_exit_3(self, capsys):
         code, _, err = run_cli(
@@ -404,10 +406,18 @@ class TestFormatsAgree:
         assert csv_out.splitlines()[0] == ",".join(columns)
 
         # eq2 has no bound; at tol 1e-18 every one of the 50 trials violates
-        _, text_out, _ = run_cli(
-            capsys, "verify", "--suite", "eq2", "--n", "2", "--trials", "50",
-            "--seed", "1", "--tol", "1e-18", "--format", "text",
-        )
+        verify = [
+            "verify", "--suite", "eq2", "--n", "2", "--trials", "50",
+            "--seed", "1", "--tol", "1e-18",
+        ]
+        _, text_out, _ = run_cli(capsys, *verify, "--format", "text")
+        _, csv_out, _ = run_cli(capsys, *verify, "--format", "csv")
+        columns = [
+            "suite", "n", "trials", "seed", "tol", "passed", "worst_margin",
+            "max_ratio_observed", "bound", "violations",
+        ]
+        assert text_keys(text_out)[: len(columns)] == columns
+        assert csv_out.splitlines()[0] == ",".join(columns)
         lines = text_out.splitlines()
         assert "bound = n/a" in lines
         assert "violations = 50" in lines

@@ -52,9 +52,15 @@ def _regular_simplex(n):
 
 class TestBarycentricPoint:
     def test_renormalizes(self):
-        b = BarycentricPoint([2.0, 2.0, 2.0])
-        assert np.allclose(b.weights, 1.0 / 3.0)
-        assert abs(b.weights.sum() - 1.0) <= 1e-12
+        # raw weights of any finite scale, also where their sum overflows
+        for raw, want in [
+            ([2.0, 2.0, 2.0], [1 / 3] * 3),
+            ([1e308] * 3, [1 / 3] * 3),
+            ([1.7e308, 1e308, 1e308], [1.7 / 3.7, 1 / 3.7, 1 / 3.7]),
+        ]:
+            b = BarycentricPoint(raw)
+            assert np.allclose(b.weights, want, rtol=1e-15, atol=0.0), raw
+            assert abs(b.weights.sum() - 1.0) <= 1e-12
 
     def test_rejects_boundary_and_outside(self):
         with pytest.raises(NotInteriorError):
@@ -218,8 +224,6 @@ class TestConditionKernel:
             )
 
     def test_empty_batch(self):
-        # the affine sampler tests its second simplices only on rows whose
-        # first passed, which may be none
         for floor in (COND_DET, DELTA_DEGENERACY):
             ok = is_well_conditioned(np.zeros((0, 5, 4)), floor)
             assert ok.shape == (0,) and ok.dtype == bool

@@ -408,6 +408,16 @@ def _minor_errors(stacks):
     return np.array(errors)
 
 
+def _assert_subsets_match(stacks, whole):
+    """Corner subsets, unsorted and repeated ones too, equal the same
+    columns of all minors bit for bit, signs of zeros included."""
+    m = stacks.shape[-1]
+    for subset in [(m,), (0,), (m, 1), (2, 0, 2), (m - 1, 1, 0)]:
+        got, want = _det_ld(stacks, subset), whole[:, subset]
+        assert np.array_equal(got, want), subset
+        assert np.array_equal(np.signbit(got), np.signbit(want)), subset
+
+
 def _corner_stacks(batch):
     return batch.feet - batch.point[:, None, :]
 
@@ -465,6 +475,7 @@ class TestCornerMinors:
         for mat, minor in zip(stacks, got[:, zero]):
             exact = exact_det(np.delete(mat, zero, axis=0))
             assert abs(Fraction(*minor.as_integer_ratio()) - exact) <= 1e-16 * abs(exact)
+        _assert_subsets_match(stacks, got)
 
     def test_zero_column(self):
         # every foot and the apex share one coordinate: all minors vanish
@@ -480,10 +491,12 @@ class TestCornerMinors:
         # carried and the next row of the sweeps; minors are integers of
         # magnitude at most m^(m/2)
         stacks = _rng(64).choice(values, size=(300, m + 1, m))
-        for mat, minors in zip(stacks, _det_ld(stacks)):
+        whole = _det_ld(stacks)
+        for mat, minors in zip(stacks, whole):
             for c, got in enumerate(minors):
                 exact = exact_det(np.delete(mat, c, axis=0))
                 assert abs(Fraction(*got.as_integer_ratio()) - exact) <= 1e-15
+        _assert_subsets_match(stacks, whole)
 
     def test_corner_ratios_never_read_feet_det(self, monkeypatch):
         # the decomposition check sums the corners against feet_det; a
