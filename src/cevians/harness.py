@@ -49,12 +49,23 @@ n=6 cevian simplices, 1.1e-15 on their corners).  A pass of trials is one
 of the oracle's row blocks, ``geometry._block_rows(n + 1)`` trials, and
 every draw and kernel works on the whole pass, so every temporary of a pass
 is as small as the block; every row is computed alone, so reports do not
-depend on the pass size.  Every kernel runs on the calling thread.
+depend on the pass size.
+
+A plan of two or more passes runs them in P = min(CPUs in the affinity
+mask, passes) processes on Linux (``_pass_processes``): the caller runs
+passes 0, P, 2P, ... on the calling thread, and each of P - 1 children
+forked at the start of the call runs the passes congruent to its own index
+mod P and pipes their results back.  The caller merges them in pass order,
+so reports do not depend on P either.  No thread is started.
 """
 from __future__ import annotations
 
 import math
 import operator
+import os
+import pickle
+import sys
+import threading
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable
@@ -442,33 +453,121 @@ def _digest(suite: str, seed: int, trial: int, *arrays: np.ndarray) -> str:
     return h.hexdigest()[:16]
 
 
+def _run_pass(plan: TrialPlan, suite: Suite, bound, stream, trials) -> tuple:
+    """(worst margin, largest observed, violations) of one pass of trials."""
+    inputs = _draw_trial(stream, suite, plan.n, trials)
+    margins, observed = _evaluate(suite, plan.tol, bound, *inputs)
+    violations = []
+    for pos in np.flatnonzero(~(margins <= 0.0)):
+        trial = int(trials[pos])
+        digest = _digest(plan.suite, plan.seed, trial, *(a[pos] for a in inputs))
+        violations.append(Violation(trial, digest, float(margins[pos])))
+    return float(margins.max()), float(observed.max()), violations
+
+
+def _pass_processes(passes: int) -> int:
+    """Processes that share a plan's passes: min(CPUs in the affinity mask,
+    passes) on Linux.  One pass, another platform (macOS's Accelerate BLAS is
+    not fork-safe, Windows has no fork) or another running Python thread,
+    which a fork would not copy and whose locks it could leave held, keep
+    every pass on the calling thread."""
+    if passes < 2 or sys.platform != "linux" or threading.active_count() > 1:
+        return 1
+    return min(len(os.sched_getaffinity(0)), passes)
+
+
+def _child_share(run: Callable, items: list, write: int) -> None:
+    """A forked child's passes: their results, or the exception that stopped
+    them, pickled to the pipe ``write``.  It leaves through os._exit, so no
+    frame of the caller unwinds here; status 0 means the result was sent."""
+    status = 1
+    try:
+        try:
+            payload = (True, [run(item) for item in items])
+        except BaseException as exc:  # the caller raises it with its type
+            payload = (False, exc)
+        with os.fdopen(write, "wb") as out:
+            pickle.dump(payload, out, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _map_passes(run: Callable, items: list) -> list:
+    """[run(item) for item in items] over P = _pass_processes(len(items))
+    processes: the caller runs items 0, P, 2P, ... and child k, forked here,
+    items k, k + P, ...  No child outlives the call: any error or interrupt
+    kills and reaps every child left, a child's exception is raised here
+    with its type, and a child that exits without its results raises
+    ChildProcessError."""
+    procs = _pass_processes(len(items))
+    results = [None] * len(items)
+    children = {}  # pid -> read end of its pipe, until the child is reaped
+    try:
+        for k in range(1, procs):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _child_share(run, items[k::procs], write)
+            os.close(write)
+            children[pid] = read
+        results[::procs] = [run(item) for item in items[::procs]]
+        for k, pid in enumerate(list(children), 1):
+            chunks = []
+            while chunk := os.read(children[pid], 1 << 20):
+                chunks.append(chunk)
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(children.pop(pid))
+            if status != 0:
+                raise ChildProcessError(
+                    f"pass process {pid} exited with status {status} before "
+                    "sending its results"
+                )
+            done, value = pickle.loads(b"".join(chunks))
+            if not done:
+                raise value
+            results[k::procs] = value
+    finally:
+        if children:
+            import signal  # only a failed or interrupted call gets here
+
+            for pid, read in children.items():
+                os.close(read)
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return results
+
+
 def run_suite(plan: TrialPlan) -> VerificationReport:
     """Run every trial of the plan and aggregate the report.
 
-    Trials are evaluated in vectorized passes of ``_pass_trials(n)``; any
-    pass size produces the identical report.
+    Trials are evaluated in vectorized passes of ``_pass_trials(n)``, spread
+    over processes by ``_map_passes``; any pass size and process count
+    produce the identical report.
     """
     start = time.perf_counter()
     suite = SUITE_TABLE[plan.suite]
     bound = None if suite.bound is None else suite.bound(plan.n)
     stream = _TrialStream(plan.seed)
+    step = _pass_trials(plan.n)
+    passes = _map_passes(
+        lambda trials: _run_pass(plan, suite, bound, stream, trials),
+        [np.arange(s, min(s + step, plan.trials)) for s in range(0, plan.trials, step)],
+    )
 
     violations: list[Violation] = []
     worst = -math.inf
     observed_max = -math.inf
-
-    step = _pass_trials(plan.n)
-    for chunk_start in range(0, plan.trials, step):
-        trials = np.arange(chunk_start, min(chunk_start + step, plan.trials))
-        inputs = _draw_trial(stream, suite, plan.n, trials)
-        margins, observed = _evaluate(suite, plan.tol, bound, *inputs)
+    for pass_worst, pass_observed, pass_violations in passes:
         # np.max keeps a NaN, where max(-inf, nan) is -inf
-        worst = float(np.max((worst, margins.max())))
-        observed_max = float(np.max((observed_max, observed.max())))
-        for pos in np.flatnonzero(~(margins <= 0.0)):
-            trial = int(trials[pos])
-            digest = _digest(plan.suite, plan.seed, trial, *(a[pos] for a in inputs))
-            violations.append(Violation(trial, digest, float(margins[pos])))
+        worst = float(np.max((worst, pass_worst)))
+        observed_max = float(np.max((observed_max, pass_observed)))
+        violations += pass_violations
 
     return VerificationReport(
         plan=plan,

@@ -54,9 +54,12 @@ def f_prime(x: float, n: int) -> float:
     """Derivative of f: f(x) * d log f/dx, with f's domain checks.
 
     Positive left of theta_n, negative right of it; the sign is that of
-    d log f/dx, the signal maximize_f_1d bisects on.
+    d log f/dx, the signal maximize_f_1d bisects on.  Where f underflows
+    to 0 near x = 0, d log f/dx can overflow to inf; the derivative there,
+    about n x^(n-1), rounds to 0.
     """
-    return f(x, n) * _dlog_f(x, n)
+    value = f(x, n)
+    return value * _dlog_f(x, n) if value else 0.0
 
 
 def F(m) -> float:

@@ -1,7 +1,10 @@
 """Samplers, trial substreams, and the verification suites."""
 import json
 import math
+import os
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -670,6 +673,121 @@ class TestSuites:
             trials = harness._pass_trials(n)
             assert 1 <= trials == geometry._block_rows(n + 1) <= geometry._block_rows(n)
             assert trials * (n + 1) ** 2 <= geometry.BLOCK_ENTRIES or trials == 1
+
+
+def _cpus(monkeypatch, count):
+    """Pretend the affinity mask holds ``count`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _in_children(monkeypatch, action, in_caller=lambda: None):
+    """Run ``action`` in every forked pass process, and ``in_caller`` on the
+    caller's own passes, before each cevian determinant of the theorem1
+    suite."""
+    caller = os.getpid()
+    kernel = geometry.det_cevian_ratios
+
+    def misbehave(batch):
+        (in_caller if os.getpid() == caller else action)()
+        return kernel(batch)
+
+    monkeypatch.setattr(geometry, "det_cevian_ratios", misbehave)
+    _cpus(monkeypatch, 2)
+
+
+TWO_PASSES = TrialPlan(suite="theorem1", n=3, trials=BLOCK_ROWS + 1, seed=1)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="passes fork on Linux only")
+class TestPassProcesses:
+    """A plan of several passes shares them with forked children, one per
+    CPU of the affinity mask; the caller merges their results in pass order."""
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            TrialPlan("eq2", 6, 3 * BLOCK_ROWS + 100, seed=1, tol=1e-300),
+            TrialPlan("decomposition", 3, 2 * BLOCK_ROWS, seed=7919),
+            TrialPlan("moebius", 2, BLOCK_ROWS + 1, seed=7919, tol=1e-300),
+            TrialPlan("affine", 30, 2 * harness._pass_trials(30) + 7, seed=1),
+            # every margin NaN past float64 underflow, passes of 12, 12 and 1 trials
+            TrialPlan("eq2", 150, 2 * harness._pass_trials(150) + 1, seed=1),
+        ],
+        ids=["eq2-violations", "decomposition", "moebius", "affine-n30", "eq2-nan"],
+    )
+    def test_report_independent_of_process_count(self, monkeypatch, plan):
+        _cpus(monkeypatch, 1)
+        want = json.dumps(run_suite(plan).to_dict(), sort_keys=True)
+        for cpus in (2, 3):
+            _cpus(monkeypatch, cpus)
+            assert json.dumps(run_suite(plan).to_dict(), sort_keys=True) == want
+        _assert_no_child_left()
+
+    def test_child_exception_keeps_its_type(self, monkeypatch):
+        def fail():
+            raise ValueError("planted in a pass process")
+
+        _in_children(monkeypatch, fail)
+        with pytest.raises(ValueError, match="planted in a pass process"):
+            run_suite(TWO_PASSES)
+        _assert_no_child_left()
+
+    def test_child_exit_without_results_names_pid_and_status(self, monkeypatch):
+        pids = []
+        fork = os.fork
+
+        def recording_fork():
+            pid = fork()
+            pids.append(pid)
+            return pid
+
+        _in_children(monkeypatch, lambda: os._exit(3))
+        monkeypatch.setattr(os, "fork", recording_fork)
+        with pytest.raises(ChildProcessError) as failure:
+            run_suite(TWO_PASSES)
+        assert str(failure.value).startswith(
+            f"pass process {pids[0]} exited with status 3 "
+        ), failure.value
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_caller_error_kills_and_reaps_children(self, monkeypatch, error):
+        # the child would run for a minute; only a kill ends it this soon
+        def interrupt():
+            raise error("planted in the caller")
+
+        _in_children(monkeypatch, lambda: time.sleep(60), in_caller=interrupt)
+        start = time.perf_counter()
+        with pytest.raises(error, match="planted in the caller"):
+            run_suite(TWO_PASSES)
+        _assert_no_child_left()
+        assert time.perf_counter() - start < 30
+
+    def test_calls_that_never_fork(self, monkeypatch):
+        def refuse():
+            raise AssertionError("forked")
+
+        _cpus(monkeypatch, 2)
+        want = run_suite(TWO_PASSES).to_dict()
+        monkeypatch.setattr(os, "fork", refuse)
+        # one pass
+        assert run_suite(TrialPlan("theorem1", 3, BLOCK_ROWS, seed=1)).passed
+        # one CPU in the mask
+        _cpus(monkeypatch, 1)
+        assert run_suite(TWO_PASSES).to_dict() == want
+        # another Python thread running
+        _cpus(monkeypatch, 2)
+        got = []
+        caller = threading.Thread(target=lambda: got.append(run_suite(TWO_PASSES)))
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert [report.to_dict() for report in got] == [want]
 
 
 class TestDeskScaleGuarantee:

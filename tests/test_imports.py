@@ -210,6 +210,26 @@ print(codes, "concurrent.futures" in sys.modules, threading.active_count())
     assert proc.stdout.strip().splitlines()[-1] == "[0, 0] False 1"
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="passes fork on Linux only")
+def test_forked_passes_load_no_pool_module():
+    # four passes over two pretended CPUs: one child, forked and reaped by
+    # the call, with neither multiprocessing nor concurrent.futures
+    code = """
+import os, sys, threading
+os.sched_getaffinity = lambda pid: {0, 1}
+from cevians import harness
+passed = harness.run_suite(harness.TrialPlan("eq2", 6, 8192, seed=1)).passed
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print(passed, threading.active_count(),
+          [m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules])
+"""
+    proc = _fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "True 1 []"
+
+
 def test_passing_verify_never_loads_hashlib():
     # importing hashlib maps OpenSSL's libcrypto (3.7 MB); only a violation's
     # digest needs it, and a lazy import must give the same digests

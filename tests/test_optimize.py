@@ -55,6 +55,12 @@ class TestDerivative:
             assert f_prime(0.5 * t, n) > 0.0
             assert f_prime(0.5 * (t + 1.0 / n), n) < 0.0
 
+    @pytest.mark.parametrize("x, n", [(1e-308, 2), (1e-306, 200)])
+    def test_zero_where_f_underflows(self, x, n):
+        # f is 0 there and n / (x (1-x)) overflows; 0 * inf would be NaN
+        assert f(x, n) == 0.0
+        assert f_prime(x, n) == 0.0
+
     def test_matches_central_differences(self):
         # rel <= 1e-6 against (f(x+h)-f(x-h))/2h, sampled where the relative
         # comparison is well posed (see oracles.finite_difference_points)
