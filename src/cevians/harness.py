@@ -4,36 +4,40 @@ oracles.
 Each suite draws (simplex, interior point) configurations, evaluates a
 closed-form quantity from ``ratios`` or ``constants`` and an independent
 Cartesian-determinant quantity from the batched kernels of ``geometry`` per
-trial, and records any discrepancy beyond the plan tolerance.  Trials are reproducible and
-schedule-independent: every random number of trial t in a run with seed s
-comes from the Philox4x32-10 block function (Salmon et al., SC'11) keyed by
-the two 32-bit words of s, at counter (block low, block high, t low, t high).
-A block gives two uniforms ((w0 << 32 | w1) >> 11) * 2^-53, which become
-coordinates 2u - 1, exponentials -log1p(-u) and Box-Muller Gaussians.  The
-draws of a trial depend only on (s, t), so reports are byte-identical for
-any pass size or execution order.
+trial, and reduces them to one observed float64 per trial.  ``run_suite``
+alone judges it: it allows ``(bound or 0) + tol`` and records a violation
+wherever the margin, observed - allowed, is positive or NaN.
+
+Trials are reproducible and schedule-independent: every random number of
+trial t in a run with seed s comes from the Philox4x32-10 block function
+(Salmon et al., SC'11) keyed by the two 32-bit words of s, at counter
+(block low, block high, t low, t high).  A block gives two uniforms
+((w0 << 32 | w1) >> 11) * 2^-53, which become coordinates 2u - 1,
+exponentials -log1p(-u) and Box-Muller Gaussians.  The draws of a trial
+depend only on (s, t), so reports are byte-identical for any pass size or
+execution order.
 
 A suite is one ``Suite`` record in ``SUITE_TABLE`` (default tolerance,
 weight floor, allowed n, bound, second simplex, per-batch check); ``SUITES``
-and ``DEFAULT_TOLERANCES`` derive from it.  The checks:
+and ``DEFAULT_TOLERANCES`` derive from it.  What each check observes:
 
-* ``theorem1``       cevian-simplex / base volume ratio (determinant and
-                     closed form) stays at most n^-n, within absolute slack
-                     ``tol`` on the ratio scale;
-* ``theorem2``       last-corner ratio stays at most f(theta_n), same slack;
-* ``eq2``            every corner ratio: closed form vs determinant volume,
-                     relative error at most ``tol``;
-* ``decomposition``  sum of the n+1 corner ratios equals the cevian ratio:
-                     closed forms within ``tol``, determinant route within
-                     max(tol, DET_ROUTE_TOL);
-* ``moebius``        (n=2) |4pqr - x^2(p+q+r+x)| at most ``tol`` * S^3;
-* ``segment_ratio``  distance ratios |M-N_i| / |M-A_i| match w_i/(1-w_i)
-                     within relative ``tol``, and A_i, M, N_i are collinear
-                     within COLLINEARITY_TOL of the edge scale;
-* ``affine``         determinant volume ratios are equal (relative ``tol``)
-                     on two drawn simplices with the same weights: the
-                     unique invertible affine map between them carries one
-                     cevian configuration onto the other.
+* ``theorem1``       the larger of the determinant and closed-form
+                     cevian-simplex / base volume ratios, against n^-n
+                     (``tol`` absolute on the ratio scale);
+* ``theorem2``       the same for the last corner, against f(theta_n);
+* ``eq2``            the largest relative error of a closed-form corner
+                     ratio against its determinant;
+* ``decomposition``  the relative error of the sum of the n+1 corner
+                     ratios against the cevian ratio, by closed forms and
+                     by determinants;
+* ``moebius``        (n=2) |4pqr - x^2(p+q+r+x)| / S^3;
+* ``segment_ratio``  the relative error of |M-N_i| / |M-A_i| against
+                     w_i/(1-w_i), and the distance of M from line A_i N_i
+                     over the edge scale;
+* ``affine``         the relative difference of the determinant volume
+                     ratios on two drawn simplices with the same weights:
+                     the unique invertible affine map between them carries
+                     one cevian configuration onto the other.
 
 Sampling keeps the oracle's rounding far below the tolerances.  A simplex
 has edges E = Q diag(sigma), Q random orthogonal, so kappa_F(E) <=
@@ -87,11 +91,6 @@ from .geometry import _det_ld  # noqa: F401  (the benchmark traces it here)
 COND_DET = 1e-3
 COND_WEIGHT = 1e-3
 KAPPA_MAX = 0.999 / COND_DET
-# Floor for determinant-route equality checks (the oracle itself cannot do
-# relative 1e-12 on flat sub-simplices).
-DET_ROUTE_TOL = 1e-9
-# Collinearity slack for A_i, M, N_i, relative to the edge scale.
-COLLINEARITY_TOL = 1e-9
 
 
 def _pass_trials(n: int) -> int:
@@ -108,9 +107,8 @@ def _checked_seed(seed) -> int:
     return seed
 
 
-# Checks: (batch, tol, bound, *second simplex) -> per-trial (margin,
-# observed); a margin > 0 or NaN is a violation, observed the headline
-# quantity.
+# Checks: (batch, *second simplex) -> the per-trial float64 discrepancy
+# observed; run_suite alone allows (bound or 0) + tol of it.
 
 
 def _relative_error(value, reference, scale):
@@ -121,50 +119,44 @@ def _relative_error(value, reference, scale):
         return np.abs(value - reference) / scale
 
 
-def _theorem1(batch, tol, bound):
-    observed = np.maximum(
+def _theorem1(batch):
+    return np.maximum(
         oracle.det_cevian_ratios(batch), closed.cevian_ratios(batch.weights)
     )
-    return observed - (bound + tol), observed
 
 
-def _theorem2(batch, tol, bound):
+def _theorem2(batch):
     last = (batch.weights.shape[1] - 1,)
-    observed = np.maximum(
+    return np.maximum(
         oracle.det_corner_ratios(batch, last)[:, 0],
         closed.corner_ratios(batch.weights, last)[:, 0],
     )
-    return observed - (bound + tol), observed
 
 
-def _eq2(batch, tol, bound):
+def _eq2(batch):
     corners = closed.corner_ratios(batch.weights)
-    observed = _relative_error(oracle.det_corner_ratios(batch), corners, corners).max(1)
-    return observed - tol, observed
+    return _relative_error(oracle.det_corner_ratios(batch), corners, corners).max(1)
 
 
-def _decomposition(batch, tol, bound):
+def _decomposition(batch):
     cev_closed = closed.cevian_ratios(batch.weights)
     cev_det = oracle.det_cevian_ratios(batch)
     corners_closed = closed.corner_ratios(batch.weights).sum(1)
     closed_rel = _relative_error(corners_closed, cev_closed, cev_closed)
     det_rel = _relative_error(oracle.det_corner_ratios(batch).sum(1), cev_det, cev_det)
-    margins = np.maximum(closed_rel - tol, det_rel - max(tol, DET_ROUTE_TOL))
-    return margins, closed_rel
+    return np.maximum(closed_rel, det_rel)
 
 
-def _moebius(batch, tol, bound):
+def _moebius(batch):
     areas = oracle.det_moebius_areas(batch)
-    resid = np.abs(closed.moebius_residual(areas))
-    s3 = areas.S**3
-    return (resid - tol * s3).astype(float), (resid / s3).astype(float)
+    return (np.abs(closed.moebius_residual(areas)) / areas.S**3).astype(float)
 
 
-def _segment_ratio(batch, tol, bound):
+def _segment_ratio(batch):
     to_vertex, to_foot, off_line = oracle.cevian_distances(batch)
     expected = closed.segment_ratios(batch.weights)
-    rel = (np.abs(to_foot / to_vertex - expected) / expected).max(1)
-    return np.maximum(rel - tol, off_line.max(1) - COLLINEARITY_TOL), rel
+    rel = _relative_error(to_foot / to_vertex, expected, expected)
+    return np.maximum(rel, off_line).max(1)
 
 
 def _det_ratios(batch):
@@ -173,17 +165,18 @@ def _det_ratios(batch):
     )
 
 
-def _affine(batch, tol, bound, image):
+def _affine(batch, image):
     before = _det_ratios(batch)
     after = _det_ratios(CevianBatch(image, batch.weights))
-    observed = _relative_error(before, after, np.maximum(before, after)).max(1)
-    return observed - tol, observed
+    return _relative_error(before, after, np.maximum(before, after)).max(1)
 
 
 @dataclass(frozen=True)
 class Suite:
-    """Everything the harness knows about one suite.  ``tol`` is absolute on
-    the ratio scale for bound suites, else relative; ``max_n`` None: any n."""
+    """Everything the harness knows about one suite.  ``check`` maps a batch
+    (and an affine suite's second simplex) to the observed float64 per
+    trial; ``tol`` is absolute on the ratio scale for bound suites, else
+    relative; ``max_n`` None: any n."""
 
     name: str
     tol: float
@@ -256,15 +249,16 @@ class Violation:
 class VerificationReport:
     """Suite outcome: violations (empty when passed) plus the worst margins.
 
-    ``worst_margin`` is the maximum over trials of (observed - allowed);
-    negative when the suite passes, and consistent with the violation list
-    (a violation is exactly a trial with positive or NaN margin, and a NaN
-    margin makes ``worst_margin`` NaN).
-    ``max_ratio_observed`` is the suite's headline observable: the largest
-    volume ratio for the inequality suites, the largest relative (or
-    S^3-scaled) discrepancy for the equality suites.  ``bound`` is the
-    inequality bound where one exists, None otherwise.  ``elapsed`` (seconds)
-    is excluded from serialized reports so reruns compare byte-identical.
+    With allowed = (bound or 0) + tol, a trial's margin is observed -
+    allowed and a violation is exactly a trial with positive or NaN margin.
+    ``max_ratio_observed`` is the largest observed value, NaN if any is:
+    the largest volume ratio for the inequality suites, the largest
+    relative (or S^3-scaled) discrepancy for the equality suites.
+    ``worst_margin`` is exactly ``max_ratio_observed - allowed``, the
+    largest margin, since rounding x - allowed is monotone in x; it is
+    negative when the suite passes.  ``bound`` is the inequality bound
+    where one exists, None otherwise.  ``elapsed`` (seconds) is excluded
+    from serialized reports so reruns compare byte-identical.
     """
 
     plan: TrialPlan
@@ -434,11 +428,9 @@ def _draw_trial(stream: _TrialStream, suite: Suite, n: int, trials: np.ndarray):
     return [verts, wts, _simplex(gen, rows, n)] if suite.affine else [verts, wts]
 
 
-def _evaluate(
-    suite: Suite, tol: float, bound: float | None, verts, wts, *image
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial (margin, observed) for one batch: the suite's own check."""
-    return suite.check(CevianBatch(verts, wts), tol, bound, *image)
+def _evaluate(suite: Suite, verts, wts, *image) -> np.ndarray:
+    """Per-trial observed discrepancy of one batch: the suite's own check."""
+    return suite.check(CevianBatch(verts, wts), *image)
 
 
 def _digest(suite: str, seed: int, trial: int, *arrays: np.ndarray) -> str:
@@ -453,16 +445,18 @@ def _digest(suite: str, seed: int, trial: int, *arrays: np.ndarray) -> str:
     return h.hexdigest()[:16]
 
 
-def _run_pass(plan: TrialPlan, suite: Suite, bound, stream, trials) -> tuple:
-    """(worst margin, largest observed, violations) of one pass of trials."""
+def _run_pass(plan: TrialPlan, suite: Suite, allowed, stream, trials) -> tuple:
+    """(largest observed, violations) of one pass of trials: a violation is
+    a trial whose margin, observed - allowed, is positive or NaN."""
     inputs = _draw_trial(stream, suite, plan.n, trials)
-    margins, observed = _evaluate(suite, plan.tol, bound, *inputs)
+    observed = _evaluate(suite, *inputs)
+    margins = observed - allowed
     violations = []
     for pos in np.flatnonzero(~(margins <= 0.0)):
         trial = int(trials[pos])
         digest = _digest(plan.suite, plan.seed, trial, *(a[pos] for a in inputs))
         violations.append(Violation(trial, digest, float(margins[pos])))
-    return float(margins.max()), float(observed.max()), violations
+    return float(observed.max()), violations
 
 
 def _pass_processes(passes: int) -> int:
@@ -553,26 +547,22 @@ def run_suite(plan: TrialPlan) -> VerificationReport:
     start = time.perf_counter()
     suite = SUITE_TABLE[plan.suite]
     bound = None if suite.bound is None else suite.bound(plan.n)
+    allowed = (bound or 0.0) + plan.tol
     stream = _TrialStream(plan.seed)
     step = _pass_trials(plan.n)
     passes = _map_passes(
-        lambda trials: _run_pass(plan, suite, bound, stream, trials),
+        lambda trials: _run_pass(plan, suite, allowed, stream, trials),
         [np.arange(s, min(s + step, plan.trials)) for s in range(0, plan.trials, step)],
     )
-
-    violations: list[Violation] = []
-    worst = -math.inf
-    observed_max = -math.inf
-    for pass_worst, pass_observed, pass_violations in passes:
-        # np.max keeps a NaN, where max(-inf, nan) is -inf
-        worst = float(np.max((worst, pass_worst)))
-        observed_max = float(np.max((observed_max, pass_observed)))
-        violations += pass_violations
+    # np.max keeps a NaN, where max() may drop it; rounding x - allowed is
+    # monotone in x, so the largest margin is the largest observed - allowed
+    observed_max = float(np.max([pass_observed for pass_observed, _ in passes]))
+    violations = tuple(v for _, pass_violations in passes for v in pass_violations)
 
     return VerificationReport(
         plan=plan,
-        violations=tuple(violations),
-        worst_margin=worst,
+        violations=violations,
+        worst_margin=observed_max - allowed,
         max_ratio_observed=observed_max,
         bound=bound,
         passed=not violations,

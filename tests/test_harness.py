@@ -1,4 +1,5 @@
 """Samplers, trial substreams, and the verification suites."""
+import dataclasses
 import json
 import math
 import os
@@ -563,6 +564,8 @@ class TestSuites:
         assert report.passed
         assert report.violations == ()
         assert report.worst_margin < 0.0
+        allowed = (report.bound or 0.0) + plan.tol
+        assert report.worst_margin == report.max_ratio_observed - allowed
         if suite == "theorem1":
             assert report.bound == theorem1_bound(n)
             assert report.max_ratio_observed <= report.bound + plan.tol
@@ -585,17 +588,39 @@ class TestSuites:
         report = run_suite(TrialPlan(suite=suite, n=n, trials=100, seed=12))
         assert report.passed, report.violations[:3]
 
-    def test_impossible_tolerance_reports_violations(self):
-        plan = TrialPlan(suite="eq2", n=3, trials=200, seed=1, tol=1e-18)
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_impossible_tolerance_reports_violations(self, suite, monkeypatch):
+        if SUITE_TABLE[suite].bound is not None:
+            # no tol makes a bound impossible: allow only tol above 0
+            monkeypatch.setitem(
+                SUITE_TABLE, suite,
+                dataclasses.replace(SUITE_TABLE[suite], bound=lambda n: 0.0),
+            )
+        n = 2 if suite == "moebius" else 3
+        plan = TrialPlan(suite=suite, n=n, trials=200, seed=1, tol=1e-18)
         report = run_suite(plan)
         assert not report.passed
         assert len(report.violations) > 0
         assert report.worst_margin > 0.0
         assert report.worst_margin == max(v.margin for v in report.violations)
+        allowed = (report.bound or 0.0) + plan.tol
+        assert report.worst_margin == report.max_ratio_observed - allowed
         indices = [v.trial_index for v in report.violations]
         assert indices == sorted(indices)
         digest = report.violations[0].inputs_digest
         assert len(digest) == 16 and int(digest, 16) >= 0
+
+    def test_decomposition_holds_determinant_route_to_tol(self, monkeypatch):
+        # a determinant route off by a relative 1e-10, far above the
+        # suite's tol of 1e-12, must not pass
+        det_corner_ratios = geometry.det_corner_ratios
+        monkeypatch.setattr(
+            geometry, "det_corner_ratios",
+            lambda *args: det_corner_ratios(*args) * (1.0 + 1e-10),
+        )
+        report = run_suite(TrialPlan(suite="decomposition", n=3, trials=200, seed=1))
+        assert len(report.violations) == 200
+        assert report.max_ratio_observed > 1e-11
 
     def test_report_round_trip_fields(self):
         plan = TrialPlan(suite="theorem1", n=2, trials=100, seed=5)
