@@ -22,6 +22,7 @@ import os
 import sys
 
 from . import __version__
+from .errors import CevianError, dimension, positive_count, seed, tolerance
 
 EXIT_PASS = 0
 EXIT_VIOLATIONS = 1
@@ -255,32 +256,20 @@ def _suite(text: str) -> str:
     return text
 
 
-def _seed_type(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must be an unsigned 64-bit integer")
-    return value
+def _parsed(parse, rule, *args):
+    """An argparse type: ``parse`` the text, then check the value with the
+    library's range rule, ``rule(*args, value)``, whose message becomes the
+    usage error."""
 
+    def checked(text: str):
+        value = parse(text)
+        try:
+            return rule(*args, value)
+        except (CevianError, ValueError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError("must be positive and finite")
-    return value
-
-
-def _dimension(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError("dimension n must be >= 2")
-    return value
+    checked.__name__ = parse.__name__  # argparse's "invalid int value: 'x'"
+    return checked
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("ratio", help="closed-form ratios for one interior point")
-    p.add_argument("--n", type=_dimension, required=True, help="simplex dimension")
+    p.add_argument("--n", type=_parsed(int, dimension), required=True,
+                   help="simplex dimension")
     p.add_argument(
         "--lambda",
         dest="weights",
@@ -312,9 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ratio)
 
     p = sub.add_parser("constants", help="theta/metallic table over a range of n")
-    p.add_argument("--n-min", type=_dimension, default=2)
-    p.add_argument("--n-max", type=_dimension, required=True)
-    p.add_argument("--depth", type=_positive_int, default=40,
+    p.add_argument("--n-min", type=_parsed(int, dimension), default=2)
+    p.add_argument("--n-max", type=_parsed(int, dimension), required=True)
+    p.add_argument("--depth", type=_parsed(int, positive_count, "depth"), default=40,
                    help="continued-fraction truncation depth (default 40)")
     add_format(p)
     p.set_defaults(func=_cmd_constants)
@@ -322,12 +312,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run one seeded verification suite")
     p.add_argument("--suite", type=_suite, required=True,
                    help="the suite to run; an unknown name lists them all")
-    p.add_argument("--n", type=_dimension, required=True)
-    p.add_argument("--trials", type=_positive_int, default=10000)
-    p.add_argument("--seed", type=_seed_type, default=0)
+    p.add_argument("--n", type=_parsed(int, dimension), required=True)
+    p.add_argument("--trials", type=_parsed(int, positive_count, "trials"), default=10000)
+    p.add_argument("--seed", type=_parsed(int, seed), default=0)
     p.add_argument(
         "--tol",
-        type=_positive_float,
+        type=_parsed(float, tolerance),
         default=None,
         help="override the suite's default tolerance",
     )
@@ -335,11 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("optimize", help="recover the extremal point numerically")
-    p.add_argument("--n", type=_dimension, required=True)
-    p.add_argument("--restarts", type=_positive_int, default=16)
-    p.add_argument("--tol", type=_positive_float, default=None,
+    p.add_argument("--n", type=_parsed(int, dimension), required=True)
+    p.add_argument("--restarts", type=_parsed(int, positive_count, "restarts"), default=16)
+    p.add_argument("--tol", type=_parsed(float, tolerance), default=None,
                    help="optimizer tolerance (default 1e-10 scalar, 1e-9 simplex)")
-    p.add_argument("--seed", type=_seed_type, default=0)
+    p.add_argument("--seed", type=_parsed(int, seed), default=0)
     add_format(p)
     p.set_defaults(func=_cmd_optimize)
 
@@ -347,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         "audit-bounds",
         help="compare the displayed extremal coefficient with f(theta_n)",
     )
-    p.add_argument("--n-max", type=_dimension, required=True)
+    p.add_argument("--n-max", type=_parsed(int, dimension), required=True)
     add_format(p)
     p.set_defaults(func=_cmd_audit_bounds)
 

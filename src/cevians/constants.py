@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import UnsupportedDimensionError
+from .errors import dimension, positive_count
 
 
 def theta(n: int) -> float:
@@ -32,9 +32,8 @@ def theta(n: int) -> float:
     cancellation occurs for large n (the naive difference form loses all
     precision near n ~ 1e8).
     """
-    if n < 2:
-        # At n=1 the formula gives 1, outside (0, 1/n); smaller n is meaningless.
-        raise UnsupportedDimensionError(f"theta requires n >= 2, got {n}")
+    # At n=1 the formula gives 1, outside (0, 1/n); smaller n is meaningless.
+    dimension(n)
     return 2.0 / (n + 1.0 + math.sqrt((n + 3.0) * (n - 1.0)))
 
 
@@ -45,27 +44,21 @@ def theta_cf(n: int, depth: int) -> float:
     levels, evaluated innermost-first: x <- 1/((n+1) - x) starting from
     x = 0, applied ``depth`` times.  depth=1 gives 1/(n+1).
     """
-    if n < 2:
-        raise UnsupportedDimensionError(f"theta_cf requires n >= 2, got {n}")
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+    dimension(n)
     x = 0.0
-    for _ in range(depth):
+    for _ in range(positive_count("depth", depth)):
         x = 1.0 / (n + 1.0 - x)
     return x
 
 
 def theta_hyperbolic(n: int) -> float:
     """theta_n via the hyperbolic identity exp(-acosh((n+1)/2))."""
-    if n < 2:
-        raise UnsupportedDimensionError(f"theta_hyperbolic requires n >= 2, got {n}")
-    return math.exp(-math.acosh((n + 1.0) / 2.0))
+    return math.exp(-math.acosh((dimension(n) + 1.0) / 2.0))
 
 
 def metallic(n: int) -> float:
     """Metallic mean phi_n = (n + sqrt(n^2 + 4)) / 2, defined for n >= 1."""
-    if n < 1:
-        raise UnsupportedDimensionError(f"metallic requires n >= 1, got {n}")
+    dimension(n, least=1)
     return (n + math.sqrt(n * n + 4.0)) / 2.0
 
 
@@ -75,21 +68,15 @@ def metallic_cf(n: int, depth: int) -> float:
     Truncates n + 1/(n + 1/(n + ...)) with innermost term n: x <- n + 1/x
     starting from x = n, applied ``depth`` times.  depth=1 gives n + 1/n.
     """
-    if n < 1:
-        raise UnsupportedDimensionError(f"metallic_cf requires n >= 1, got {n}")
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    x = float(n)
-    for _ in range(depth):
+    x = float(dimension(n, least=1))
+    for _ in range(positive_count("depth", depth)):
         x = n + 1.0 / x
     return x
 
 
 def metallic_hyperbolic(n: int) -> float:
     """phi_n via the hyperbolic identity exp(asinh(n/2))."""
-    if n < 1:
-        raise UnsupportedDimensionError(f"metallic_hyperbolic requires n >= 1, got {n}")
-    return math.exp(math.asinh(n / 2.0))
+    return math.exp(math.asinh(dimension(n, least=1) / 2.0))
 
 
 def theorem1_bound(n: int) -> float:
@@ -97,16 +84,12 @@ def theorem1_bound(n: int) -> float:
 
     Underflows to 0.0 for n >~ 143; use theorem1_bound_log there.
     """
-    if n < 2:
-        raise UnsupportedDimensionError(f"bound requires n >= 2, got {n}")
-    return float(n) ** (-n)
+    return float(dimension(n)) ** (-n)
 
 
 def theorem1_bound_log(n: int) -> float:
     """log(n^-n) = -n log n, usable far beyond double-precision underflow."""
-    if n < 2:
-        raise UnsupportedDimensionError(f"bound requires n >= 2, got {n}")
-    return -n * math.log(n)
+    return -dimension(n) * math.log(n)
 
 
 def theorem2_value(n: int) -> float:

@@ -36,6 +36,8 @@ from .errors import (
     DimensionMismatchError,
     NotInteriorError,
     UnsupportedDimensionError,
+    corner,
+    dimension,
 )
 
 # Interior margin for barycentric weights: points with any weight below this
@@ -131,10 +133,7 @@ class BarycentricPoint:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1:
             raise DimensionMismatchError("weights must be a flat vector")
-        if w.shape[0] < 3:
-            raise UnsupportedDimensionError(
-                f"need n >= 2, i.e. at least 3 weights, got {w.shape[0]}"
-            )
+        dimension(w.shape[0] - 1)
         if not np.all(np.isfinite(w)):
             raise NotInteriorError("weights must be finite")
         # The exact power of two of _exponent keeps the sum finite at any scale.
@@ -167,8 +166,7 @@ class CartesianSimplex:
             raise DimensionMismatchError(
                 f"expected (n+1, n) vertex array, got {v.shape}"
             )
-        if v.shape[1] < 2:
-            raise UnsupportedDimensionError("need dimension n >= 2")
+        dimension(v.shape[1])
         if not np.all(np.isfinite(v)):
             raise DegenerateSimplexError("vertices must be finite")
         if not is_well_conditioned(v):
@@ -534,7 +532,6 @@ def corner_simplex_vertices(config: CevianConfiguration, k: int) -> np.ndarray:
     """Vertices of corner sub-simplex k, read-only: the interior point plus
     every foot except foot k."""
     n = config.simplex.dim
-    if not 0 <= k <= n:
-        raise IndexError(f"corner index {k} out of range 0..{n}")
+    corner(k, n)
     keep = [j for j in range(n + 1) if j != k]
     return _read_only(np.vstack([config.feet_cart[keep], config.point_cart[None, :]]))

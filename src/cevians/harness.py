@@ -76,10 +76,10 @@ from typing import Callable
 
 import numpy as np
 
+from . import errors
 from . import geometry as oracle
 from . import ratios as closed
 from .constants import theorem1_bound, theorem2_value
-from .errors import UnsupportedDimensionError
 from .geometry import CevianBatch
 from .geometry import _det_ld  # noqa: F401  (the benchmark traces it here)
 
@@ -97,14 +97,6 @@ def _pass_trials(n: int) -> int:
     """Trials per pass of run_suite: one oracle row block of (n+1) x (n+1)
     entries, holding the pass's square LUs and its (n+1) x n corner minors."""
     return oracle._block_rows(n + 1)
-
-
-def _checked_seed(seed) -> int:
-    """An integer seed in [0, 2**64), the range of Philox's two key words."""
-    seed = operator.index(seed)
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must be an unsigned 64-bit integer")
-    return seed
 
 
 # Checks: (batch, *second simplex) -> the per-trial float64 discrepancy
@@ -224,18 +216,15 @@ class TrialPlan:
         suite = SUITE_TABLE.get(self.suite)
         if suite is None:
             raise ValueError(f"unknown suite {self.suite!r}; pick one of {SUITES}")
-        if self.n < 2:
-            raise UnsupportedDimensionError(f"suites require n >= 2, got {self.n}")
+        errors.dimension(self.n)
         _log_sigma_range(self.n)
         if suite.max_n is not None and self.n > suite.max_n:
             raise ValueError(f"the {suite.name} suite needs n <= {suite.max_n}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        object.__setattr__(self, "seed", _checked_seed(self.seed))
+        errors.positive_count("trials", self.trials)
+        object.__setattr__(self, "seed", errors.seed(self.seed))
         if self.tol is None:
             object.__setattr__(self, "tol", suite.tol)
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        errors.tolerance(self.tol)
 
 
 @dataclass(frozen=True)
@@ -368,7 +357,7 @@ class _TrialStream:
     two 32-bit words at counter (block low, block high, trial low, trial high)."""
 
     def __init__(self, seed: int) -> None:
-        seed = _checked_seed(seed)
+        seed = errors.seed(seed)
         self.key = (seed & _MASK32, seed >> 32)
 
     def for_trial(self, trials: np.ndarray) -> _TrialDraws:
@@ -392,7 +381,9 @@ def _scaled_orthogonal(normals: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     Anal. 17(3), 1980), H_k maps its n - k Gaussians x onto e_k and D_kk =
     -sign(x_0) (Mezzadri, Notices AMS 54(5), 2007); D's last sign would only
     mirror the simplex.  Updates run in numpy's own loops, not BLAS, so a
-    row's bits depend on neither the batch nor the BLAS build."""
+    row's bits depend on neither the batch nor the BLAS build; the Gaussians
+    are not dispatch-free, though: their Box-Muller radii take np.log1p,
+    whose SIMD loop numpy picks by CPU, so they can differ between hosts."""
     n = sigma.shape[1]
     out = sigma[:, :, None] * np.eye(n)
     for k in range(n - 2, -1, -1):  # H_k meets only the block at (k, k)

@@ -20,12 +20,12 @@ search on the log of their objective and report scale-free residuals:
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, OutOfDomainError, UnsupportedDimensionError
+from .errors import ConvergenceError, OutOfDomainError
+from .errors import dimension, positive_count, tolerance
 from .geometry import BarycentricPoint
 from .harness import _TrialStream
 from .ratios import _as_point, corner_ratio, corner_ratios
@@ -38,8 +38,7 @@ GRADIENT_TOL = 1e-6
 
 def f(x: float, n: int) -> float:
     """Reduced objective (x/(1-x))^n * (1-nx) on the open interval (0, 1/n)."""
-    if n < 2:
-        raise UnsupportedDimensionError(f"need n >= 2, got {n}")
+    dimension(n)
     if not 0.0 < x < 1.0 / n:
         raise OutOfDomainError(f"x = {x} outside (0, 1/{n})")
     return (x / (1.0 - x)) ** n * (1.0 - n * x)
@@ -109,11 +108,8 @@ def maximize_f_1d(n: int, tol: float = 1e-10) -> OptimizerResult:
     Raises ConvergenceError if the iteration cap lands first, which only
     happens for tolerances below what float64 can represent.
     """
-    if n < 2:
-        raise UnsupportedDimensionError(f"need n >= 2, got {n}")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-
+    dimension(n)
+    tolerance(tol)
     lo, hi = 0.0, 1.0 / n
     iterations = 0
     # d log f/dx > 0 left of the maximizer, < 0 right of it.
@@ -180,13 +176,9 @@ def maximize_F_simplex(
     does not depend on how many run.  The best converged restart wins, ties
     toward the lowest index.  Raises ConvergenceError if none converges.
     """
-    if n < 2:
-        raise UnsupportedDimensionError(f"need n >= 2, got {n}")
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-
+    dimension(n)
+    positive_count("restarts", restarts)
+    tolerance(tol)
     starts = _TrialStream(seed).for_trial(np.arange(restarts))
     u = starts.uniform(-1.0, 1.0, (restarts, n))
     value = _log_F(u)

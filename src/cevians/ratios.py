@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import theorem1_bound, theorem2_value
+from .errors import corner
 from .geometry import BarycentricPoint, MoebiusAreas
 
 
@@ -69,9 +70,7 @@ def corner_ratio(m, k: int) -> float:
     foot k; its ratio is w_k * prod_{i != k} w_i / (1 - w_i).
     """
     point = _as_point(m)
-    if not 0 <= k <= point.n:
-        raise IndexError(f"corner index {k} out of range 0..{point.n}")
-    return float(corner_ratios(point.weights, (k,))[0])
+    return float(corner_ratios(point.weights, (corner(k, point.n),))[0])
 
 
 def cevian_ratio(m) -> float:
