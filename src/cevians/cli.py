@@ -87,22 +87,22 @@ def _emit(fmt: str, payload, rows: list[dict], columns: list[str], record=None, 
     out.write("".join(line + "\n" for line in [*body, *lines]))
 
 
-def _parse_weights(text: str, n: int, parser: argparse.ArgumentParser) -> list[float]:
+def _parse_weights(text: str, n: int, error) -> list[float]:
     try:
         weights = [float(part) for part in text.split(",")]
     except ValueError:
-        parser.error(f"--lambda must be a comma-separated list of numbers, got {text!r}")
+        error(f"--lambda must be a comma-separated list of numbers, got {text!r}")
     if len(weights) != n + 1:
-        parser.error(f"--lambda needs exactly n+1 = {n + 1} entries, got {len(weights)}")
+        error(f"--lambda needs exactly n+1 = {n + 1} entries, got {len(weights)}")
     return weights
 
 
-def _cmd_ratio(args, parser) -> int:
+def _cmd_ratio(args) -> int:
     from .errors import NotInteriorError
     from .geometry import BarycentricPoint
     from .ratios import ratio_breakdown
 
-    weights = _parse_weights(args.weights, args.n, parser)
+    weights = _parse_weights(args.weights, args.n, args.error)
     try:
         point = BarycentricPoint(weights)
     except NotInteriorError as exc:
@@ -135,11 +135,11 @@ def _cmd_ratio(args, parser) -> int:
     return EXIT_PASS
 
 
-def _cmd_constants(args, parser) -> int:
+def _cmd_constants(args) -> int:
     from .constants import constants_row
 
     if args.n_min > args.n_max:
-        parser.error(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
+        args.error(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
     rows = [
         vars(constants_row(n, args.depth))
         for n in range(args.n_min, args.n_max + 1)
@@ -148,7 +148,7 @@ def _cmd_constants(args, parser) -> int:
     return EXIT_PASS
 
 
-def _cmd_verify(args, parser) -> int:
+def _cmd_verify(args) -> int:
     from .harness import TrialPlan, run_suite
 
     try:
@@ -160,7 +160,7 @@ def _cmd_verify(args, parser) -> int:
             tol=args.tol,
         )
     except Exception as exc:
-        parser.error(str(exc))
+        args.error(str(exc))
     report = run_suite(plan)
     payload = report.to_dict()
     row = payload | {"violations": len(report.violations)}
@@ -173,7 +173,7 @@ def _cmd_verify(args, parser) -> int:
     return EXIT_PASS if report.passed else EXIT_VIOLATIONS
 
 
-def _cmd_optimize(args, parser) -> int:
+def _cmd_optimize(args) -> int:
     from .constants import theorem2_value, theta
     from .errors import ConvergenceError
     from .optimize import maximize_f_1d, maximize_F_simplex
@@ -222,7 +222,7 @@ def _cmd_optimize(args, parser) -> int:
     return EXIT_PASS
 
 
-def _cmd_audit_bounds(args, parser) -> int:
+def _cmd_audit_bounds(args) -> int:
     from .constants import audit_bound
 
     rows = []
@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(renormalized, with a warning, if the sum is off by more than 1e-9)",
     )
     add_format(p)
-    p.set_defaults(func=_cmd_ratio)
+    p.set_defaults(func=_cmd_ratio, error=p.error)
 
     p = sub.add_parser("constants", help="theta/metallic table over a range of n")
     p.add_argument("--n-min", type=_parsed(int, dimension), default=2)
@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=_parsed(int, positive_count, "depth"), default=40,
                    help="continued-fraction truncation depth (default 40)")
     add_format(p)
-    p.set_defaults(func=_cmd_constants)
+    p.set_defaults(func=_cmd_constants, error=p.error)
 
     p = sub.add_parser("verify", help="run one seeded verification suite")
     p.add_argument("--suite", type=_suite, required=True,
@@ -322,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the suite's default tolerance",
     )
     add_format(p)
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_verify, error=p.error)
 
     p = sub.add_parser("optimize", help="recover the extremal point numerically")
     p.add_argument("--n", type=_parsed(int, dimension), required=True)
@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="optimizer tolerance (default 1e-10 scalar, 1e-9 simplex)")
     p.add_argument("--seed", type=_parsed(int, seed), default=0)
     add_format(p)
-    p.set_defaults(func=_cmd_optimize)
+    p.set_defaults(func=_cmd_optimize, error=p.error)
 
     p = sub.add_parser(
         "audit-bounds",
@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n-max", type=_parsed(int, dimension), required=True)
     add_format(p)
-    p.set_defaults(func=_cmd_audit_bounds)
+    p.set_defaults(func=_cmd_audit_bounds, error=p.error)
 
     return parser
 
@@ -348,7 +348,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args, parser)
+        code = args.func(args)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader is gone: send what is still buffered to the null

@@ -49,20 +49,6 @@ EPS_BOUNDARY = 1e-9
 # at most 1 / DELTA_DEGENERACY.
 DELTA_DEGENERACY = 1e-9
 
-# Row block of the oracle: at most BLOCK_ROWS matrices and BLOCK_ENTRIES
-# m x m entries, so 2048 rows up to m = 12.  This is the one size budget: a
-# pass of the harness is one block of (n+1) x (n+1) entries, and every draw
-# and kernel works on the whole pass.  It bounds the longdouble copy,
-# 4.7 MB against 118 MB for 2048 60x60 matrices, and every float64
-# temporary of a pass with it: on one core, 4096 30x30 matrices took
-# 0.66-0.72 s in blocks against 0.79-0.95 s at once.
-BLOCK_ROWS = 2048
-BLOCK_ENTRIES = BLOCK_ROWS * 12**2
-
-
-def _block_rows(m: int) -> int:
-    return max(1, min(BLOCK_ROWS, BLOCK_ENTRIES // (m * m)))
-
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
@@ -253,15 +239,18 @@ def _det_ld(mats: np.ndarray, rows=None) -> np.ndarray:
     mats: (B, m, m) in any float dtype returns the (B,) longdouble
     determinants, and ``rows`` is unused.  mats: (B, m+1, m) returns the
     (B, len(rows)) maximal minors, minor c the determinant of mats with row
-    c deleted, for every c in ``rows`` (default all m+1).  Each result
-    depends only on its own matrix, so results do not depend on the batch.
-    The whole batch is eliminated at once: callers pass at most
-    ``_block_rows(m)`` matrices, a pass of the harness or a single one.
+    c deleted, for every c in ``rows`` (default all m+1), from ``_minors``.
+    Each result depends only on its own matrix, so results do not depend on
+    the batch.  A square batch is eliminated on a batch-last (m, m, B) copy,
+    so every step works on contiguous lanes.
     """
-    _, k, m = mats.shape
-    if k == m:
-        return _lu_det(mats)
-    return _minors(mats, range(k) if rows is None else rows)
+    b, k, m = mats.shape
+    if k != m:
+        return _minors(mats, range(k) if rows is None else rows)
+    a = np.empty((m, m, b), dtype=np.longdouble)
+    a[...] = mats.transpose(1, 2, 0)
+    prefix, odd = _eliminate(a)
+    return np.negative(prefix[m], out=prefix[m], where=odd)
 
 
 def _pivot(a: np.ndarray, col: int) -> np.ndarray:
@@ -270,7 +259,7 @@ def _pivot(a: np.ndarray, col: int) -> np.ndarray:
     lanes that pivot swap, and only in columns col:, by flat take/put
     indices.  Returns the mask of lanes that swapped."""
     _, w, b = a.shape
-    piv = np.abs(a[col:, col]).argmax(axis=0)
+    piv = np.fabs(a[col:, col]).argmax(axis=0)
     lanes = np.flatnonzero(piv)
     if lanes.size:
         # Flat indices of columns col: of row col and of the pivot row.
@@ -303,19 +292,9 @@ def _eliminate(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return prefix, odd
 
 
-def _lu_det(mats: np.ndarray) -> np.ndarray:
-    """The determinants of ``_det_ld`` from ``_eliminate`` on a batch-last
-    (m, m, B) copy, so every step works on contiguous lanes."""
-    b, m, _ = mats.shape
-    a = np.empty((m, m, b), dtype=np.longdouble)
-    a[...] = mats.transpose(1, 2, 0)
-    prefix, odd = _eliminate(a)
-    return np.negative(prefix[m], out=prefix[m], where=odd)
-
-
 def _minors(mats: np.ndarray, rows) -> np.ndarray:
     """The maximal minors of ``_det_ld`` for a (B, m+1, m) batch, all from
-    one elimination of the transposes A = mats^T, (m, m+1) each.
+    one elimination of the batch-last transposes A = mats^T, (m, m+1) each.
 
     A row swap flips the sign of every maximal minor of A and a row
     addition keeps them all, so with U from ``_eliminate``, minor c (column c of A deleted) is that sign times
@@ -343,7 +322,7 @@ def _minors(mats: np.ndarray, rows) -> np.ndarray:
             det *= top
             break
         low = a[r + 1, r + 1 :]
-        swap = np.abs(low[0]) > np.abs(top)
+        swap = np.fabs(low[0]) > np.fabs(top)
         pivots = np.where(swap, low[0], top)
         det *= pivots
         np.negative(det, out=det, where=swap)

@@ -49,11 +49,10 @@ trial as the maximal minors of one pivoted elimination (``geometry._det_ld``).
 That keeps the oracle's relative error far below the suite tolerances even
 for the very flat simplices that near-boundary points produce (against
 exact rational determinants: below 1e-15 on the flattest of 400 sampled
-n=6 cevian simplices, 1.1e-15 on their corners).  A pass of trials is one
-of the oracle's row blocks, ``geometry._block_rows(n + 1)`` trials, and
-every draw and kernel works on the whole pass, so every temporary of a pass
-is as small as the block; every row is computed alone, so reports do not
-depend on the pass size.
+n=6 cevian simplices, 1.1e-15 on their corners).  A pass is
+``_pass_trials(n)`` trials, and every draw and kernel works on the whole
+pass, so the pass size bounds every temporary; every row is computed alone,
+so reports do not depend on the pass size.
 
 A plan of two or more passes runs them in P = min(CPUs in the affinity
 mask, passes) processes on Linux (``_pass_processes``): the caller runs
@@ -94,9 +93,14 @@ KAPPA_MAX = 0.999 / COND_DET
 
 
 def _pass_trials(n: int) -> int:
-    """Trials per pass of run_suite: one oracle row block of (n+1) x (n+1)
-    entries, holding the pass's square LUs and its (n+1) x n corner minors."""
-    return oracle._block_rows(n + 1)
+    """Trials per pass of run_suite: at most 2048, and at most 2048 * 12^2
+    entries of (n+1) x (n+1), so 2048 up to n = 11.  This is the one size
+    budget: every draw and kernel works on the whole pass, so it bounds the
+    oracle's longdouble copies, 4.7 MB against 118 MB for 2048 60x60
+    matrices, and every float64 temporary of a pass with them: on one core,
+    4096 30x30 matrices took 0.66-0.72 s in passes against 0.79-0.95 s at
+    once."""
+    return max(1, min(2048, 2048 * 12**2 // (n + 1) ** 2))
 
 
 # Checks: (batch, *second simplex) -> the per-trial float64 discrepancy

@@ -352,6 +352,31 @@ class TestAuditBounds:
         )
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("ratio --n 2 --lambda 1,2", "--lambda needs exactly n+1 = 3 entries, got 2"),
+        (
+            "ratio --n 2 --lambda 1,x,2",
+            "--lambda must be a comma-separated list of numbers, got '1,x,2'",
+        ),
+        ("constants --n-min 5 --n-max 3", "--n-min 5 exceeds --n-max 3"),
+        ("verify --suite moebius --n 3 --trials 3", "the moebius suite needs n <= 2"),
+        ("verify --suite eq2 --n 1000 --trials 1", "suites need n <= 999: kappa_F(E) >= n"),
+    ],
+    ids=["ratio-count", "ratio-numbers", "constants-range", "verify-moebius", "verify-n"],
+)
+def test_usage_errors_after_parsing_name_their_subcommand(capsys, argv, message):
+    # as argparse's own flag errors do
+    sub = argv.split()[0]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, *argv.split())
+    assert exc.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith(f"usage: cevians {sub} "), lines
+    assert lines[-1] == f"cevians {sub}: error: {message}"
+
+
 class TestFormatsAgree:
     def test_same_numbers_across_formats(self, capsys):
         argv = ["ratio", "--n", "2", "--lambda", "0.4,0.35,0.25"]

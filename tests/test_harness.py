@@ -24,7 +24,6 @@ from cevians import (
 )
 from cevians import geometry, harness
 from cevians.geometry import (
-    BLOCK_ROWS,
     CevianBatch,
     _det_ld,
     _edges,
@@ -45,6 +44,10 @@ from cevians.harness import (
 from cevians.optimize import F, maximize_F_simplex
 
 from oracles import cofactor_det, exact_det, reference_det_ld
+
+
+# trials per pass at n <= 11
+PASS = harness._pass_trials(2)
 
 
 def _rng(seed=0):
@@ -296,7 +299,7 @@ class TestExtendedPrecisionDet:
 
     def test_batch_split_invariance(self):
         # a batch larger than two passes against one matrix at a time
-        mats = _rng(8).uniform(-1, 1, size=(2 * BLOCK_ROWS + 77, 4, 4))
+        mats = _rng(8).uniform(-1, 1, size=(2 * PASS + 77, 4, 4))
         whole = _det_ld(mats)
         rows = np.concatenate([_det_ld(mats[i : i + 1]) for i in range(len(mats))])
         assert np.array_equal(whole, rows)
@@ -307,7 +310,7 @@ class TestExtendedPrecisionDet:
 
     @pytest.mark.parametrize("m, extra", [(6, 904), (8, 123)])
     def test_bit_identical_to_reference_on_split_batches(self, m, extra):
-        mats = _rng(9).uniform(-1, 1, size=(2 * BLOCK_ROWS + extra, m, m))
+        mats = _rng(9).uniform(-1, 1, size=(2 * PASS + extra, m, m))
         got = _det_ld(mats)
         assert got.dtype == np.longdouble
         assert np.array_equal(got, reference_det_ld(mats))
@@ -321,23 +324,34 @@ class TestExtendedPrecisionDet:
         # but the last pivots
         shift = np.roll(np.eye(m), 1, axis=0)
         pivoting = 10.0 * shift + rng.uniform(-1, 1, (6, m, m))
+        # the first column ties on magnitude, -0.0 against +0.0 and -2
+        # against +2: the first row of largest magnitude pivots
+        ties = rng.uniform(-1, 1, (4, m, m))
+        ties[:, :, 0] = [
+            [-0.0, 0.0, -0.0, 0.0, 0.0],
+            [0.0, -0.0, 0.0, -0.0, -0.0],
+            [0.5, -2.0, 2.0, 1.0, -1.0],
+            [0.5, 2.0, -2.0, -1.0, 2.0],
+        ]
         for mats in [
             np.zeros((0, m, m)),
             rng.uniform(-1, 1, (1, m, m)),
             np.zeros((4, m, m)),
             zero_first_column,
             pivoting,
-            np.concatenate([pivoting, np.zeros((2, m, m)), zero_first_column]),
+            ties,
+            np.concatenate([pivoting, np.zeros((2, m, m)), zero_first_column, ties]),
         ]:
-            got = _det_ld(mats)
+            got, want = _det_ld(mats), reference_det_ld(mats)
             assert got.shape == (len(mats),) and got.dtype == np.longdouble
-            assert np.array_equal(got, reference_det_ld(mats))
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
         assert np.all(_det_ld(zero_first_column) == 0.0)
 
     def test_concurrent_callers(self):
         # more callers than cores and a short switch interval: every caller
         # gets its own rows back
-        batches = [_rng(20 + i).uniform(-1, 1, (4 * BLOCK_ROWS, 3, 3)) for i in range(5)]
+        batches = [_rng(20 + i).uniform(-1, 1, (4 * PASS, 3, 3)) for i in range(5)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -351,29 +365,25 @@ class TestExtendedPrecisionDet:
 
 
 class TestRowBlocks:
-    """A pass of ``run_suite`` is one row block: the oracle's kernels see at
-    most ``_block_rows(m)`` matrices per call, which bounds the LU's
-    longdouble copy and every float64 temporary of the pass."""
+    """A pass of ``run_suite`` is ``_pass_trials(n)`` trials: the oracle's
+    entry ``_det_ld`` sees at most that many matrices per call, which bounds
+    its longdouble copies and every float64 temporary of the pass."""
 
     @pytest.mark.parametrize("n", [2, 6, 12, 30])
     def test_kernels_see_at_most_one_block_per_call(self, monkeypatch, n):
-        calls = []
+        shapes = []
+        kernel = geometry._det_ld
 
-        def spy(kernel):
-            def wrapper(mats, *args):
-                calls.append((len(mats), mats.shape[2]))
-                return kernel(mats, *args)
+        def spy(mats, *args):
+            shapes.append(mats.shape)
+            return kernel(mats, *args)
 
-            return wrapper
-
-        for name in ("_lu_det", "_minors"):
-            monkeypatch.setattr(geometry, name, spy(getattr(geometry, name)))
+        monkeypatch.setattr(geometry, "_det_ld", spy)
         step = harness._pass_trials(n)
         report = run_suite(TrialPlan(suite="affine", n=n, trials=2 * step + 5, seed=1))
         assert report.passed, report.violations[:3]
-        assert {m for _, m in calls} == {n}
-        assert all(rows <= geometry._block_rows(m) for rows, m in calls), calls
-        assert max(rows for rows, _ in calls) == step
+        assert {shape[1:] for shape in shapes} == {(n, n), (n + 1, n)}
+        assert max(rows for rows, _, _ in shapes) == step
 
 
 def _relative_errors(mats):
@@ -455,7 +465,7 @@ class TestCornerMinors:
     def test_batch_split_invariance(self):
         # a batch larger than two passes against one stack at a time, and
         # any subset of rows against the same columns of all of them
-        stacks = _rng(61).uniform(-1, 1, size=(2 * BLOCK_ROWS + 77, 5, 4))
+        stacks = _rng(61).uniform(-1, 1, size=(2 * PASS + 77, 5, 4))
         whole = _det_ld(stacks)
         assert whole.shape == (len(stacks), 5) and whole.dtype == np.longdouble
         rows = np.concatenate([_det_ld(stacks[i : i + 1]) for i in range(len(stacks))])
@@ -689,15 +699,20 @@ class TestSuites:
     def test_pass_sizes_at_the_gated_dimensions(self):
         # the at-scale gates and the benchmark run 2048-trial passes
         for n in range(2, 7):
-            assert harness._pass_trials(n) == BLOCK_ROWS == 2048
+            assert harness._pass_trials(n) == PASS == 2048
 
     def test_pass_is_one_block_at_every_n(self):
-        # a pass of (n+1) x (n+1) entries fits the block of both the square
-        # LUs and the (n+1) x n corner minors
-        for n in range(2, 1000):
-            trials = harness._pass_trials(n)
-            assert 1 <= trials == geometry._block_rows(n + 1) <= geometry._block_rows(n)
-            assert trials * (n + 1) ** 2 <= geometry.BLOCK_ENTRIES or trials == 1
+        # the most trials, up to 2048, whose (n+1) x (n+1) entries fit 2048
+        # 12 x 12 matrices, and one trial where none fit
+        sizes = {n: harness._pass_trials(n) for n in range(2, 1000)}
+        for n, trials in sizes.items():
+            entries = (n + 1) ** 2
+            assert 1 <= trials <= 2048
+            assert trials * entries <= 2048 * 12**2 or trials == 1
+            assert (trials + 1) * entries > 2048 * 12**2 or trials == 2048
+        assert [sizes[n] for n in (2, 6, 11, 12, 30, 60, 999)] == [
+            2048, 2048, 2048, 1745, 306, 79, 1
+        ]
 
 
 def _cpus(monkeypatch, count):
@@ -720,7 +735,7 @@ def _in_children(monkeypatch, action, in_caller=lambda: None):
     _cpus(monkeypatch, 2)
 
 
-TWO_PASSES = TrialPlan(suite="theorem1", n=3, trials=BLOCK_ROWS + 1, seed=1)
+TWO_PASSES = TrialPlan(suite="theorem1", n=3, trials=PASS + 1, seed=1)
 
 
 def _assert_no_child_left():
@@ -736,9 +751,9 @@ class TestPassProcesses:
     @pytest.mark.parametrize(
         "plan",
         [
-            TrialPlan("eq2", 6, 3 * BLOCK_ROWS + 100, seed=1, tol=1e-300),
-            TrialPlan("decomposition", 3, 2 * BLOCK_ROWS, seed=7919),
-            TrialPlan("moebius", 2, BLOCK_ROWS + 1, seed=7919, tol=1e-300),
+            TrialPlan("eq2", 6, 3 * PASS + 100, seed=1, tol=1e-300),
+            TrialPlan("decomposition", 3, 2 * PASS, seed=7919),
+            TrialPlan("moebius", 2, PASS + 1, seed=7919, tol=1e-300),
             TrialPlan("affine", 30, 2 * harness._pass_trials(30) + 7, seed=1),
             # every margin NaN past float64 underflow, passes of 12, 12 and 1 trials
             TrialPlan("eq2", 150, 2 * harness._pass_trials(150) + 1, seed=1),
@@ -801,7 +816,7 @@ class TestPassProcesses:
         want = run_suite(TWO_PASSES).to_dict()
         monkeypatch.setattr(os, "fork", refuse)
         # one pass
-        assert run_suite(TrialPlan("theorem1", 3, BLOCK_ROWS, seed=1)).passed
+        assert run_suite(TrialPlan("theorem1", 3, PASS, seed=1)).passed
         # one CPU in the mask
         _cpus(monkeypatch, 1)
         assert run_suite(TWO_PASSES).to_dict() == want

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import cevians
-from cevians import geometry, harness
+from cevians import harness
 
 PACKAGE = Path(cevians.__file__).resolve().parent
 RECORD_TYPES = {"BarycentricPoint", "MoebiusAreas"}
@@ -320,10 +320,11 @@ def test_traced_functions_run_on_the_calling_thread(monkeypatch):
                     if value is original:
                         monkeypatch.setattr(mod, key, wrapper)
 
-    # passes of three blocks' worth of trials, each eliminated at once
-    monkeypatch.setattr(harness, "_pass_trials", lambda n: 3 * geometry.BLOCK_ROWS)
+    # passes of three times the usual trials, each eliminated at once
+    step = 3 * harness._pass_trials(6)
+    monkeypatch.setattr(harness, "_pass_trials", lambda n: step)
     for suite in ("theorem1", "eq2", "segment_ratio"):
-        plan = harness.TrialPlan(suite, 6, 3 * geometry.BLOCK_ROWS + 100, seed=4)
+        plan = harness.TrialPlan(suite, 6, step + 100, seed=4)
         assert harness.run_suite(plan).passed
     assert {"harness.run_suite", "harness.sample", "harness.stream_reset",
             "harness.oracle", "harness.evaluate",
