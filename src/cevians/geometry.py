@@ -20,8 +20,9 @@ their volumes are the maximal minors of the (n+1) x n feet relative to M,
 all taken from one pivoted elimination of its transpose plus a Hessenberg
 sweep per minor: O(n^3) per trial where n+1 LUs take O(n^4).  The base and
 cevian determinants never come from the minors, so the decomposition
-check's two sides stay independent.  Nothing here imports ``ratios``: the
-suites compare the two, so they must stay independent.
+check's two sides stay independent.  The cevian distances run on rows of
+B contiguous lanes too, adding coordinates from the left.  Nothing here
+imports ``ratios``: the suites compare the two, so they must stay independent.
 """
 from __future__ import annotations
 
@@ -65,18 +66,33 @@ def _edges(points: np.ndarray) -> np.ndarray:
     return points[..., :-1, :] - points[..., -1:, :]
 
 
+def _lanes(a: np.ndarray) -> np.ndarray:
+    """A batch-last copy, (B, ...) -> (..., B): rows of B contiguous lanes."""
+    return np.moveaxis(a, 0, -1).copy()
+
+
+def _sum_in_order(terms) -> np.ndarray:
+    """terms[0] + terms[1] + ..., added from the left, elementwise."""
+    total = terms[0].copy()
+    for term in terms[1:]:
+        total += term
+    return total
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Norms over axis -2, squares added from the left; (..., d, B) -> (..., B)."""
+    return np.sqrt(_sum_in_order(np.moveaxis(x * x, -2, 0)))
+
+
 def _cartesian(weights: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     """The Cartesian point sum_j w_j A_j; (..., k), (..., k, d) -> (..., d)."""
     return np.einsum("...j,...jd->...d", weights, vertices)
 
 
-def max_edge_length(points: np.ndarray):
-    """Largest pairwise distance between rows: (..., m, d) -> (...)."""
-    squared = [
-        ((points[..., i + 1 :, :] - points[..., i : i + 1, :]) ** 2).sum(-1).max(-1)
-        for i in range(points.shape[-2] - 1)
-    ]
-    return np.sqrt(np.max(squared, axis=0))
+def max_edge_length(points: np.ndarray) -> np.ndarray:
+    """Largest distance between rows of batch-last points; (m, d, B) -> (B,)."""
+    lengths = [_norms(points[i + 1 :] - points[i]).max(0) for i in range(len(points) - 1)]
+    return np.max(lengths, axis=0)
 
 
 def _exponent(vertices: np.ndarray) -> np.ndarray:
@@ -308,10 +324,11 @@ def _minors(mats: np.ndarray, rows) -> np.ndarray:
     O(m^4) for m+1 separate LUs.
     """
     b, _, m = mats.shape
-    a = np.empty((m, m + 1, b), dtype=np.longdouble)
-    a[...] = mats.transpose(2, 1, 0)
-    prefix, odd = _eliminate(a)
     start = min(rows)
+    width = m + (start < m)  # only the sweeps read column m
+    a = np.empty((m, width, b), dtype=np.longdouble)
+    a[...] = mats[:, :width].transpose(2, 1, 0)
+    prefix, odd = _eliminate(a)
     carry = np.empty((0, m - start, b), dtype=np.longdouble)
     det = np.empty((0, b), dtype=np.longdouble)
     for r in range(start, m):
@@ -404,34 +421,28 @@ def det_moebius_areas(batch: CevianBatch) -> MoebiusAreas:
     )
 
 
-def _norms(x: np.ndarray) -> np.ndarray:
-    return np.sqrt((x**2).sum(-1))
-
-
 def cevian_distances(batch: CevianBatch) -> tuple[np.ndarray, ...]:
     """Per cevian i: |M - A_i|, |M - N_i|, and the distance of M from the
     line A_i N_i relative to the max edge length; each (B, n+1).
 
-    The differences are rescaled by the exact power of two of
-    ``_exponent`` before they are squared and the distances scaled back,
-    so squaring neither overflows nor underflows at any scale.
+    It works on batch-last copies, its norms and dot products adding the
+    coordinates from the left.  The differences are rescaled by the exact
+    power of two of ``_exponent`` before they are squared and the distances
+    scaled back, so squaring neither overflows nor underflows at any scale.
     """
-    shift = -_exponent(batch.vertices)[:, None, None]
-    edge = max_edge_length(np.ldexp(batch.vertices, shift))
-    point = batch.point[:, None, :]
-    to_vertex, to_foot, direction = (
-        np.ldexp(d, shift, out=d)
-        for d in (batch.vertices - point, batch.feet - point, batch.feet - batch.vertices)
-    )
-    direction /= _norms(direction)[:, :, None]
-    along = (-to_vertex * direction).sum(-1)
-    off_line = -to_vertex - along[:, :, None] * direction
-    unshift = -shift[:, :, 0]
-    return (
-        np.ldexp(_norms(to_vertex), unshift),
-        np.ldexp(_norms(to_foot), unshift),
-        _norms(off_line) / edge[:, None],
-    )
+    shift = -_exponent(batch.vertices)
+    vertices, point = _lanes(batch.vertices), _lanes(batch.point)
+    edge = max_edge_length(np.ldexp(vertices, shift))
+    feet = _lanes(batch.feet)
+    direction = np.ldexp(feet - vertices, shift)
+    direction /= _norms(direction)[:, None]
+    for a in (vertices, feet):  # in place: A_i - M and N_i - M, rescaled
+        np.ldexp(np.subtract(a, point, out=a), shift, out=a)
+    to_vertex, to_foot = (np.ldexp(_norms(a), -shift) for a in (vertices, feet))
+    off_line = np.negative(vertices, out=vertices)  # M - A_i, less its projection
+    along = _sum_in_order(np.moveaxis(off_line * direction, 1, 0))
+    off_line -= along[:, None] * direction
+    return to_vertex.T, to_foot.T, (_norms(off_line) / edge).T
 
 
 def simplex_volume(vertices: np.ndarray) -> float:

@@ -51,8 +51,9 @@ for the very flat simplices that near-boundary points produce (against
 exact rational determinants: below 1e-15 on the flattest of 400 sampled
 n=6 cevian simplices, 1.1e-15 on their corners).  A pass is
 ``_pass_trials(n)`` trials, and every draw and kernel works on the whole
-pass, so the pass size bounds every temporary; every row is computed alone,
-so reports do not depend on the pass size.
+pass, so the pass size bounds every temporary.  The reflections and the
+cevian distances run batch-last like the oracle, summing in fixed orders;
+every row is computed alone, so reports do not depend on the pass size.
 
 A plan of two or more passes runs them in P = min(CPUs in the affinity
 mask, passes) processes on Linux (``_pass_processes``): the caller runs
@@ -384,20 +385,24 @@ def _scaled_orthogonal(normals: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     of n(n+1)/2 - 1 Gaussians: Q = H_0 ... H_{n-2} D (Stewart, SIAM J. Numer.
     Anal. 17(3), 1980), H_k maps its n - k Gaussians x onto e_k and D_kk =
     -sign(x_0) (Mezzadri, Notices AMS 54(5), 2007); D's last sign would only
-    mirror the simplex.  Updates run in numpy's own loops, not BLAS, so a
-    row's bits depend on neither the batch nor the BLAS build; the Gaussians
-    are not dispatch-free, though: their Box-Muller radii take np.log1p,
+    mirror the simplex.  It runs batch-last and sums in fixed orders, norms
+    from the left and each block-vector product as even plus odd terms (numpy's
+    sum and einsum orders under 8 terms), so a row's bits depend on neither
+    the batch nor numpy's loops; its Gaussians' Box-Muller radii take np.log1p,
     whose SIMD loop numpy picks by CPU, so they can differ between hosts."""
     n = sigma.shape[1]
-    out = sigma[:, :, None] * np.eye(n)
+    out = sigma.T[:, None] * np.eye(n)[:, :, None]
     for k in range(n - 2, -1, -1):  # H_k meets only the block at (k, k)
         start = k * n - k * (k - 1) // 2
-        v = normals[:, start : start + n - k].copy()
-        out[:, k, k] *= -np.copysign(1.0, v[:, 0])
-        v[:, 0] += np.copysign(np.sqrt((v * v).sum(-1)), v[:, 0])
-        w = np.einsum("bij,bj->bi", out[:, k:, k:], v) * (2.0 / (v * v).sum(-1))[:, None]
-        out[:, k:, k:] -= np.einsum("bi,bj->bij", w, v)
-    return out.transpose(0, 2, 1)
+        v = normals[:, start : start + n - k].T.copy()
+        out[k, k] *= -np.copysign(1.0, v[0])
+        v[0] += np.copysign(np.sqrt(oracle._sum_in_order(v * v)), v[0])
+        block = out[k:, k:]
+        w = (block * v).transpose(1, 0, 2)  # the terms of block @ v, j first
+        w = oracle._sum_in_order(w[0::2]) + oracle._sum_in_order(w[1::2])
+        w *= 2.0 / oracle._sum_in_order(v * v)
+        block -= w[:, None] * v
+    return out.transpose(2, 1, 0)
 
 
 def _simplex(gen: _TrialDraws, rows: int, n: int) -> np.ndarray:
@@ -405,12 +410,16 @@ def _simplex(gen: _TrialDraws, rows: int, n: int) -> np.ndarray:
     [-1, 1)^n.  log sigma = log(2 sqrt(n)) + R (clip(1.5 s, -1, 1) - 1) / 2, s
     uniform in [-1, 1), puts a third of the sigma at the ends.  Sigma up to
     the box's diagonal keeps the apex's rounding small: eq2 erred by 1.4e-11
-    at n = 100 (seed 1, 10 trials), by 2.3e-10 with sigma at most 1."""
+    at n = 100 (seed 1, 10 trials), by 2.3e-10 with sigma at most 1.  Each
+    trial is stored column by column, the layout M's einsum sums even/odd."""
     apex, s = gen.uniform(-1.0, 1.0, (rows, 2, n)).transpose(1, 0, 2)
     log_sigma = 0.5 * _log_sigma_range(n) * (np.clip(1.5 * s, -1.0, 1.0) - 1.0)
     sigma = 2.0 * math.sqrt(n) * np.exp(log_sigma)
     edges = _scaled_orthogonal(gen.standard_normal((rows, n * (n + 1) // 2 - 1)), sigma)
-    return np.concatenate([apex[:, None, :] + edges, apex[:, None, :]], 1)
+    columns = np.empty((rows, n, n + 1))
+    np.add(apex[:, :, None], edges.transpose(0, 2, 1), out=columns[:, :, :n])
+    columns[:, :, n] = apex
+    return columns.transpose(0, 2, 1)
 
 
 def _draw_trial(stream: _TrialStream, suite: Suite, n: int, trials: np.ndarray):

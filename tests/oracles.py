@@ -6,7 +6,10 @@ checked: determinants by recursive cofactor expansion or in exact rational
 arithmetic, the scalar extremum by dense grid plus golden-section
 refinement on a locally defined formula.  ``reference_det_ld`` is the
 package's earlier batch-first extended-precision kernel, kept so the
-batch-last one can be checked against it bit for bit.
+batch-last one can be checked against it bit for bit.  So are
+``reference_scaled_orthogonal`` and ``reference_cevian_distances``, the
+earlier batch-first float64 sampler and distances, whose sums numpy's own
+reductions and einsum ordered.
 """
 from __future__ import annotations
 
@@ -68,6 +71,51 @@ def reference_det_ld(mats: np.ndarray) -> np.ndarray:
         factors = a[:, col + 1 :, col] / safe[:, None]
         a[:, col + 1 :, col:] -= factors[:, :, None] * a[:, col : col + 1, col:]
     return det
+
+
+def reference_scaled_orthogonal(normals: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Q diag(sigma) as a batch-first product of Householder reflections,
+    each update two einsums."""
+    n = sigma.shape[1]
+    out = sigma[:, :, None] * np.eye(n)
+    for k in range(n - 2, -1, -1):
+        start = k * n - k * (k - 1) // 2
+        v = normals[:, start : start + n - k].copy()
+        out[:, k, k] *= -np.copysign(1.0, v[:, 0])
+        v[:, 0] += np.copysign(np.sqrt((v * v).sum(-1)), v[:, 0])
+        w = np.einsum("bij,bj->bi", out[:, k:, k:], v) * (2.0 / (v * v).sum(-1))[:, None]
+        out[:, k:, k:] -= np.einsum("bi,bj->bij", w, v)
+    return out.transpose(0, 2, 1)
+
+
+def reference_cevian_distances(vertices, feet, point) -> tuple:
+    """|M - A_i|, |M - N_i| and the distance of M from line A_i N_i over
+    the max edge length, batch first, from (B, k, d) vertices and feet and
+    (B, d) points; differences rescaled by a power of two before squaring."""
+    shift = -np.frexp(np.abs(vertices).max((-2, -1)))[1][:, None, None]
+    scaled = np.ldexp(vertices, shift)
+    squared = [
+        ((scaled[:, i + 1 :] - scaled[:, i : i + 1]) ** 2).sum(-1).max(-1)
+        for i in range(scaled.shape[1] - 1)
+    ]
+    edge = np.sqrt(np.max(squared, axis=0))
+    point = point[:, None, :]
+    to_vertex, to_foot, direction = (
+        np.ldexp(d, shift) for d in (vertices - point, feet - point, feet - vertices)
+    )
+    direction /= _row_norms(direction)[:, :, None]
+    along = (-to_vertex * direction).sum(-1)
+    off_line = -to_vertex - along[:, :, None] * direction
+    unshift = -shift[:, :, 0]
+    return (
+        np.ldexp(_row_norms(to_vertex), unshift),
+        np.ldexp(_row_norms(to_foot), unshift),
+        _row_norms(off_line) / edge[:, None],
+    )
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    return np.sqrt((x**2).sum(-1))
 
 
 def simplex_volume_cofactor(vertices) -> float:

@@ -43,7 +43,13 @@ from cevians.harness import (
 )
 from cevians.optimize import F, maximize_F_simplex
 
-from oracles import cofactor_det, exact_det, reference_det_ld
+from oracles import (
+    cofactor_det,
+    exact_det,
+    reference_cevian_distances,
+    reference_det_ld,
+    reference_scaled_orthogonal,
+)
 
 
 # trials per pass at n <= 11
@@ -178,6 +184,19 @@ class TestBatchedSampler:
         gram = edges.transpose(0, 2, 1) @ edges
         scale = sigma[:, :, None] * sigma[:, None, :]
         assert np.all(np.abs(gram - scale * np.eye(n)) <= 1e-14 * n * scale)
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 7, 12, 30])
+    def test_edges_match_the_batch_first_reference(self, n):
+        # under 8 terms the fixed orders are numpy's sum and einsum orders:
+        # bit for bit to n = 7, and within rounding past it
+        gen = _TrialStream(5).for_trial(np.arange(300))
+        normals = gen.standard_normal((300, n * (n + 1) // 2 - 1))
+        sigma = np.exp(gen.uniform(-3.0, 3.0, (300, n)))
+        got = _scaled_orthogonal(normals, sigma)
+        want = reference_scaled_orthogonal(normals, sigma)
+        if n <= 7:
+            assert np.array_equal(got, want)
+        assert np.all(np.abs(got - want) <= 1e-14 * n * sigma.max(1)[:, None, None])
 
     @pytest.mark.parametrize("n", [2, 6])
     def test_edges_at_the_apex_are_not_at_right_angles(self, n):
@@ -462,6 +481,17 @@ class TestCornerMinors:
         worst = _minor_errors(_corner_stacks(batch)).max()
         assert worst <= 1e-14, (worst, np.finfo(np.longdouble))
 
+    @pytest.mark.parametrize("n", [2, 3, 6, 12, 30])
+    def test_last_corner_is_the_lu_of_the_first_m_columns(self, n):
+        # minor m reads column m of no sweep, so it eliminates m columns:
+        # the square LU of the same transpose, bit for bit
+        verts, wts = _draw("theorem2", n, range(50))
+        batch = CevianBatch(verts, wts)
+        stacks = batch.feet - batch.point[:, None, :]
+        square = _det_ld(stacks[:, :n].transpose(0, 2, 1))
+        assert np.array_equal(_det_ld(stacks, (n,))[:, 0], square)
+        assert np.array_equal(_det_ld(stacks)[:, n], square)
+
     def test_batch_split_invariance(self):
         # a batch larger than two passes against one stack at a time, and
         # any subset of rows against the same columns of all of them
@@ -632,6 +662,50 @@ class TestSuites:
         assert len(report.violations) == 200
         assert report.max_ratio_observed > 1e-11
 
+    @pytest.mark.parametrize("n", [2, 3, 6, 7, 12, 30])
+    def test_distances_match_the_batch_first_reference(self, n):
+        # coordinates added from the left are numpy's sum order under 8
+        # terms: bit for bit to n = 7, and within rounding past it, on the
+        # scale of the edges for the off-line distances, rounding noise
+        batch = CevianBatch(*_draw("segment_ratio", n, range(300)))
+        got = geometry.cevian_distances(batch)
+        want = reference_cevian_distances(batch.vertices, batch.feet, batch.point)
+        for g, w in zip(got, want):
+            if n <= 7:
+                assert np.array_equal(g, w)
+            assert np.all(np.abs(g - w) <= 1e-14 * n * max(np.abs(w).max(), 1.0))
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_segment_ratio_sees_feet_off_their_cevians(self, monkeypatch, n):
+        # each foot turned about M, 1e-6 of the edge scale off its cevian
+        # line, keeps |M - N_i|: only the distance of M from line A_i N_i
+        # can see it
+        feet = CevianBatch.feet.func
+
+        def turned(batch):
+            point = batch.point[:, None, :]
+            spoke = feet(batch) - point
+            length = np.linalg.norm(spoke, axis=-1, keepdims=True)
+            unit = spoke / length
+            normal = np.eye(n)[np.abs(unit).argmin(-1)]
+            normal -= (normal * unit).sum(-1, keepdims=True) * unit
+            normal /= np.linalg.norm(normal, axis=-1, keepdims=True)
+            pairs = batch.vertices[:, :, None] - batch.vertices[:, None]
+            edge = np.linalg.norm(pairs, axis=-1).max((1, 2))[:, None, None]
+            tilted = unit + 1e-6 * edge / length * normal
+            tilted /= np.linalg.norm(tilted, axis=-1, keepdims=True)
+            return point + length * tilted
+
+        monkeypatch.setattr(CevianBatch, "feet", property(turned))
+        tol = DEFAULT_TOLERANCES["segment_ratio"]
+        batch = CevianBatch(*_draw("segment_ratio", n, range(200)))
+        to_vertex, to_foot, off_line = geometry.cevian_distances(batch)
+        expected = batch.weights / (1.0 - batch.weights)
+        assert (np.abs(to_foot / to_vertex - expected) / expected).max() < tol / 100
+        assert off_line.max(1).min() > tol
+        report = run_suite(TrialPlan("segment_ratio", n, 200, seed=1))
+        assert [v.trial_index for v in report.violations] == list(range(200))
+
     def test_report_round_trip_fields(self):
         plan = TrialPlan(suite="theorem1", n=2, trials=100, seed=5)
         payload = run_suite(plan).to_dict()
@@ -766,6 +840,29 @@ class TestPassProcesses:
         for cpus in (2, 3):
             _cpus(monkeypatch, cpus)
             assert json.dumps(run_suite(plan).to_dict(), sort_keys=True) == want
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("forked", [False, True], ids=["serial", "forked"])
+    def test_every_pass_reports_its_violations(self, monkeypatch, forked):
+        # tol=1e-300 makes every trial a violation, so each of three passes
+        # must bring every one of its trials to the report, in order
+        forks = []
+        fork = os.fork
+
+        def counting_fork():
+            pid = fork()
+            forks.extend([pid] if pid else [])
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        if forked:
+            _cpus(monkeypatch, 3)
+        else:
+            monkeypatch.setattr(harness, "_pass_processes", lambda passes: 1)
+        plan = TrialPlan("eq2", 6, 2 * PASS + 100, seed=1, tol=1e-300)
+        report = run_suite(plan)
+        assert len(forks) == (2 if forked else 0)
+        assert [v.trial_index for v in report.violations] == list(range(plan.trials))
         _assert_no_child_left()
 
     def test_child_exception_keeps_its_type(self, monkeypatch):
