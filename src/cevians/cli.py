@@ -3,7 +3,7 @@ verification suites, run the optimizers, and audit the displayed bound.
 
 Exit codes: 0 success / suite passed, 1 suite violations, 2 usage error,
 3 domain error (non-interior input), 4 optimizer convergence failure,
-141 stdout closed by the reader (128 + SIGPIPE, as a shell reports it).
+5 internal error, 141 stdout closed by the reader (128 + SIGPIPE).
 
 All output is deterministic given the flags (seeds included) and goes
 through one emitter, ``_emit``, with one contract: JSON is the full payload
@@ -29,6 +29,7 @@ EXIT_VIOLATIONS = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_CONVERGENCE = 4
+EXIT_ERROR = 5
 EXIT_BROKEN_PIPE = 141
 
 def _fmt(value) -> str:
@@ -355,6 +356,11 @@ def main(argv=None) -> int:
         # device, so the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    except Exception:  # a failing harness must not read as a verdict
+        import traceback
+
+        traceback.print_exc()
+        return EXIT_ERROR
     return code
 
 

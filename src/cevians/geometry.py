@@ -14,15 +14,16 @@ Conventions used throughout the package:
 
 The oracle kernels work on a ``CevianBatch`` of B configurations, and a
 configuration is a view of its batch of one.  ``_det_ld`` is the oracle's
-one entry point.  A base or cevian simplex is one pivoted LU of its m x m
-edge matrix.  The n+1 corner simplices share M and all but one foot, so
-their volumes are the maximal minors of the (n+1) x n feet relative to M,
-all taken from one pivoted elimination of its transpose plus a Hessenberg
-sweep per minor: O(n^3) per trial where n+1 LUs take O(n^4).  The base and
-cevian determinants never come from the minors, so the decomposition
-check's two sides stay independent.  The cevian distances run on rows of
-B contiguous lanes too, adding coordinates from the left.  Nothing here
-imports ``ratios``: the suites compare the two, so they must stay independent.
+one entry point.  A base or cevian simplex is one elimination, minor m of
+the transpose of its m x m edge matrix.  The n+1 corner simplices share M
+and all but one foot, so their volumes are the maximal minors of the
+(n+1) x n feet relative to M, all taken from one pivoted elimination of its
+transpose plus a Hessenberg sweep per minor: O(n^3) per trial where n+1 LUs
+take O(n^4).  The base and cevian determinants never come from the corner
+minors, so the decomposition check's two sides stay independent.  The
+cevian distances run on rows of B contiguous lanes too, adding coordinates
+from the left.  Nothing here imports ``ratios``: the suites compare the
+two, so they must stay independent.
 """
 from __future__ import annotations
 
@@ -249,26 +250,6 @@ class MoebiusAreas:
             raise ValueError("areas must satisfy p + q + r + x = S")
 
 
-def _det_ld(mats: np.ndarray, rows=None) -> np.ndarray:
-    """Batched determinants in extended precision via pivoted elimination.
-
-    mats: (B, m, m) in any float dtype returns the (B,) longdouble
-    determinants, and ``rows`` is unused.  mats: (B, m+1, m) returns the
-    (B, len(rows)) maximal minors, minor c the determinant of mats with row
-    c deleted, for every c in ``rows`` (default all m+1), from ``_minors``.
-    Each result depends only on its own matrix, so results do not depend on
-    the batch.  A square batch is eliminated on a batch-last (m, m, B) copy,
-    so every step works on contiguous lanes.
-    """
-    b, k, m = mats.shape
-    if k != m:
-        return _minors(mats, range(k) if rows is None else rows)
-    a = np.empty((m, m, b), dtype=np.longdouble)
-    a[...] = mats.transpose(1, 2, 0)
-    prefix, odd = _eliminate(a)
-    return np.negative(prefix[m], out=prefix[m], where=odd)
-
-
 def _pivot(a: np.ndarray, col: int) -> np.ndarray:
     """Partial pivoting on a contiguous batch-last (m, w, B) array: moves
     the first argmax of |a[col:, col]| of each lane into row col.  Only the
@@ -308,22 +289,32 @@ def _eliminate(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return prefix, odd
 
 
-def _minors(mats: np.ndarray, rows) -> np.ndarray:
-    """The maximal minors of ``_det_ld`` for a (B, m+1, m) batch, all from
-    one elimination of the batch-last transposes A = mats^T, (m, m+1) each.
+def _det_ld(mats: np.ndarray, rows=None) -> np.ndarray:
+    """Batched longdouble determinants, from one elimination of A = mats^T.
 
-    A row swap flips the sign of every maximal minor of A and a row
-    addition keeps them all, so with U from ``_eliminate``, minor c (column c of A deleted) is that sign times
-    u_00 ... u_(c-1)(c-1) times det H_c, H_c = U[c:, c+1:] upper Hessenberg.
-    det H_c is one sweep of adjacent-row pivoting: a carried row, H_c's row
-    j after elimination (U's columns r+1: at r = c + j), meets U[r+1, r+1:]
-    and keeps the larger leading entry, the carried one on a tie, as its
-    pivot.  The sweeps of every c from min(rows) on run side by side, a
-    carry joining at r = c, and each touches only its own rows.  H_m is
-    empty: minor m needs no sweep.  All of it is O(m^3) per matrix, against
-    O(m^4) for m+1 separate LUs.
+    mats: (B, m+1, m) in any float dtype returns the (B, len(rows))
+    longdouble maximal minors, minor c the determinant of mats with row c
+    deleted, for every c in ``rows`` (default all m+1).  mats: (B, m, m)
+    returns the (B,) determinants, and ``rows`` is unused: a square batch is
+    minor m of its transpose.  Each result depends only on its own matrix,
+    so results do not depend on the batch.
+
+    A row swap flips the sign of every maximal minor of A and a row addition
+    keeps them all, so with U from ``_eliminate``, minor c (column c of A
+    deleted) is that sign times u_00 ... u_(c-1)(c-1) times det H_c, with
+    H_c = U[c:, c+1:] upper Hessenberg.  det H_c is one sweep of adjacent-row
+    pivoting: a carried row, H_c's row j after elimination (U's columns r+1:
+    at r = c + j), meets U[r+1, r+1:] and keeps the larger leading entry,
+    the carried one on a tie, as its pivot.  The sweeps of every c from
+    min(rows) on run side by side, a carry joining at r = c, and each
+    touches only its own rows.  H_m is empty: minor m needs no sweep.  All
+    of it is O(m^3) per matrix, against O(m^4) for m+1 separate LUs.
     """
-    b, _, m = mats.shape
+    b, k, m = mats.shape
+    if k == m:
+        mats, rows = mats.transpose(0, 2, 1), (m,)
+    elif rows is None:
+        rows = range(k)
     start = min(rows)
     width = m + (start < m)  # only the sweeps read column m
     a = np.empty((m, width, b), dtype=np.longdouble)
@@ -348,7 +339,8 @@ def _minors(mats: np.ndarray, rows) -> np.ndarray:
         carry = np.where(swap[:, None], carry[:, 1:], low[1:])
         carry -= factors[:, None] * pivot_rows
     out = np.concatenate([det, prefix[m, None]]).T.take(np.subtract(rows, start), axis=1)
-    return np.negative(out, out=out, where=odd[:, None])
+    np.negative(out, out=out, where=odd[:, None])
+    return out[:, 0] if k == m else out
 
 
 def feet_weights(weights: np.ndarray) -> np.ndarray:
@@ -416,9 +408,11 @@ def det_moebius_areas(batch: CevianBatch) -> MoebiusAreas:
         np.abs(_det_ld(batch.feet - batch.vertices[:, i, None], (i,))[:, 0]) / 2.0
         for i in range(3)
     )
-    return MoebiusAreas(
-        p, q, r, x=np.abs(batch.feet_det) / 2.0, S=np.abs(batch.base_det) / 2.0
+    areas = object.__new__(MoebiusAreas)  # unchecked, so a wrong area is a violation
+    vars(areas).update(
+        p=p, q=q, r=r, x=np.abs(batch.feet_det) / 2.0, S=np.abs(batch.base_det) / 2.0
     )
+    return areas
 
 
 def cevian_distances(batch: CevianBatch) -> tuple[np.ndarray, ...]:

@@ -44,8 +44,8 @@ has edges E = Q diag(sigma), Q random orthogonal, so kappa_F(E) <=
 KAPPA_MAX by construction (``_simplex``); weights are the flat Dirichlet
 conditioned on the suite's floor, COND_WEIGHT for relative tolerances.  Oracle
 determinants are evaluated in extended precision (80-bit on x86): the base
-and cevian simplices by one batched pivoted LU each, and all corners of a
-trial as the maximal minors of one pivoted elimination (``geometry._det_ld``).
+and cevian simplices by one batched pivoted elimination each, and all
+corners of a trial as the maximal minors of another (``geometry._det_ld``).
 That keeps the oracle's relative error far below the suite tolerances even
 for the very flat simplices that near-boundary points produce (against
 exact rational determinants: below 1e-15 on the flattest of 400 sampled

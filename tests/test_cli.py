@@ -508,3 +508,18 @@ def test_closed_stdout_exits_141_without_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+def test_internal_error_exits_5_with_traceback(capsys, monkeypatch):
+    # exit 1 means suite violations, so a harness failure, such as a forked
+    # pass process killed before it reports, must exit with its own code
+    def killed(plan):
+        raise ChildProcessError("pass process 1234 exited with status -9")
+
+    monkeypatch.setattr(harness, "run_suite", killed)
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "eq2", "--n", "2", "--trials", "10"
+    )
+    assert code == 5
+    assert out == ""
+    assert "Traceback" in err and "ChildProcessError: pass process 1234" in err

@@ -404,6 +404,29 @@ class TestRowBlocks:
         assert {shape[1:] for shape in shapes} == {(n, n), (n + 1, n)}
         assert max(rows for rows, _, _ in shapes) == step
 
+    @pytest.mark.parametrize(
+        "suite, calls",
+        [("affine", 6), ("theorem1", 2), ("eq2", 2), ("decomposition", 3),
+         ("theorem2", 2), ("moebius", 5), ("segment_ratio", 0)],
+    )
+    def test_oracle_calls_per_pass(self, monkeypatch, suite, calls):
+        # one call per base, cevian or corner batch: a square batch is one
+        # elimination, never a second call or a split one
+        shapes = []
+        kernel = geometry._det_ld
+
+        def spy(mats, *args):
+            shapes.append(mats.shape)
+            return kernel(mats, *args)
+
+        monkeypatch.setattr(geometry, "_det_ld", spy)
+        monkeypatch.setattr(harness, "_pass_processes", lambda passes: 1)
+        step = harness._pass_trials(2)
+        report = run_suite(TrialPlan(suite, 2, 2 * step + 5, seed=1))
+        assert report.passed, report.violations[:3]
+        assert len(shapes) == 3 * calls
+        assert sorted({rows for rows, _, _ in shapes}) == ([5, step] if calls else [])
+
 
 def _relative_errors(mats):
     errors = []
@@ -705,6 +728,28 @@ class TestSuites:
         assert off_line.max(1).min() > tol
         report = run_suite(TrialPlan("segment_ratio", n, 200, seed=1))
         assert [v.trial_index for v in report.violations] == list(range(200))
+
+    def test_wrong_moebius_area_is_a_violation(self, monkeypatch):
+        # corner p off by a relative 1e-6 breaks p + q + r + x = S, which
+        # the batched record must not check: the residual reports it
+        kernel = geometry._det_ld
+
+        def scaled(mats, rows=None):
+            got = kernel(mats, rows)
+            return got * (1 + 1e-6) if mats.shape[1:] == (3, 2) and rows == (0,) else got
+
+        monkeypatch.setattr(geometry, "_det_ld", scaled)
+        report = run_suite(TrialPlan("moebius", 2, 200, seed=1))
+        assert len(report.violations) > 150
+        assert report.worst_margin > 0.0
+        # the scalar record keeps its checks
+        batch = CevianBatch(*_draw("moebius", 2, range(1)))
+        config = geometry.CevianConfiguration(
+            geometry.CartesianSimplex(batch.vertices[0]),
+            geometry.BarycentricPoint(batch.weights[0]),
+        )
+        with pytest.raises(ValueError, match="p \\+ q \\+ r \\+ x = S"):
+            geometry.moebius_areas(config)
 
     def test_report_round_trip_fields(self):
         plan = TrialPlan(suite="theorem1", n=2, trials=100, seed=5)
